@@ -64,9 +64,10 @@ bigbenchsmoke:
 
 # Service crash-safety end-to-end: boot twlsimd, submit a grid over HTTP,
 # SIGKILL the daemon mid-cell, restart it on the same state directory and
-# verify the job completes from the surviving checkpoints and that an
-# identical resubmission is a pure cache hit. Mirrors resume_check.sh at
-# the service layer.
+# verify the job completes from the surviving checkpoints and job journal,
+# re-running only the cells unfinished at the kill, and that an identical
+# resubmission is a pure cache hit. Mirrors resume_check.sh at the service
+# layer.
 servesmoke:
 	./scripts/serve_check.sh
 

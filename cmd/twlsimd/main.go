@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,6 +29,15 @@ import (
 
 	"twl/internal/cliutil"
 	"twl/internal/serve"
+)
+
+// HTTP timeouts. A client polling a job every few milliseconds reuses one
+// keep-alive connection; these only close connections that stall or sit
+// idle far longer than that.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -43,6 +53,11 @@ func main() {
 	cliutil.Check("twlsimd", cliutil.Required("-data", *dataDir))
 	cliutil.Check("twlsimd", cliutil.NonNegativeInt("-workers", *workers))
 
+	// The drain handler goes in first, so any SIGINT/SIGTERM after start-up
+	// drains the daemon rather than killing it — in particular one that
+	// follows the first /healthz reply.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	srv, err := serve.New(serve.Config{
 		DataDir:         *dataDir,
 		Workers:         *workers,
@@ -53,13 +68,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "twlsimd:", err)
+		_ = srv.Close()
+		os.Exit(1)
+	}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("twlsimd: serving on http://%s (state in %s)\n", *addr, *dataDir)
+	go func() { errc <- hs.Serve(ln) }()
+	fmt.Printf("twlsimd: serving on http://%s (state in %s)\n", ln.Addr(), *dataDir)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("twlsimd: %v, draining\n", sig)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"twl"
@@ -316,9 +315,9 @@ type cellEnvelope struct {
 	Result   cellResult `json:"result"`
 }
 
-// job is one submitted grid. The mutable state (cell statuses, cancelled)
-// is guarded by the owning Server's mu; trace and tracer are internally
-// synchronized and safe to use without it.
+// job is one submitted grid. The mutable state (cell statuses, cancelled,
+// the journal handle) is guarded by the owning Server's mu; trace and
+// tracer are internally synchronized and safe to use without it.
 type job struct {
 	id        string
 	spec      JobSpec
@@ -326,75 +325,12 @@ type job struct {
 	cancelled bool
 	trace     *obs.TraceBuffer
 	tracer    *obs.Tracer
-}
-
-// jobFile is the on-disk form of a job, written atomically on every state
-// change so a killed daemon reloads its queue on restart.
-type jobFile struct {
-	ID        string  `json:"id"`
-	Spec      JobSpec `json:"spec"`
-	Cancelled bool    `json:"cancelled,omitempty"`
-	Cells     []*cell `json:"cells"`
-}
-
-// persistJob atomically writes the job's state file. Must be called with
-// the server's mu held (it snapshots mutable cell state).
-func persistJob(dir string, j *job) error {
-	jf := jobFile{ID: j.id, Spec: j.spec, Cancelled: j.cancelled, Cells: j.cells}
-	b, err := json.MarshalIndent(jf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: encode job %s: %w", j.id, err)
-	}
-	path := filepath.Join(dir, j.id+".json")
-	tmp, err := os.CreateTemp(dir, j.id+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist job %s: %w", j.id, err)
-	}
-	return nil
-}
-
-// loadJobs reads every job file in dir, in lexical (= submission) order.
-// Cells that were running when the previous daemon died come back pending.
-func loadJobs(dir string) ([]*job, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load jobs: %w", err)
-	}
-	var jobs []*job
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("serve: load jobs: %w", err)
-		}
-		var jf jobFile
-		if err := json.Unmarshal(b, &jf); err != nil {
-			return nil, fmt.Errorf("serve: load job %s: %w", e.Name(), err)
-		}
-		j := &job{id: jf.ID, spec: jf.Spec, cancelled: jf.Cancelled, cells: jf.Cells}
-		for _, c := range j.cells {
-			if c.Status == cellRunning {
-				c.Status = cellPending
-			}
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
+	// journal is the open append handle of the job's journal (see
+	// journal.go), nil until the first append after submit, boot or
+	// compaction. journalBroken is set when a failed append may have left
+	// a partial line, until a compaction replaces the journal.
+	journal       *os.File
+	journalBroken bool
 }
 
 // jobID derives a deterministic identifier: a submission counter plus a

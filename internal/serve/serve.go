@@ -16,8 +16,9 @@
 //   - Preemption and resume: long cells checkpoint through internal/snap
 //     at the simulator's checkpoint cadence. Shutting the server down (or
 //     killing the daemon outright) loses at most one checkpoint interval;
-//     on restart the job files reload, incomplete cells re-enqueue, and
-//     each resumes from its checkpoint to a bit-identical result.
+//     on restart the job files and their journals reload (journal.go),
+//     incomplete cells re-enqueue, and each resumes from its checkpoint to
+//     a bit-identical result.
 //   - One result path: cells run through the same RunAttackCell /
 //     RunBenchCell / RunShardedLifetime entry points as the one-shot grid
 //     runners (RunFig6, RunFig8), so a grid computed through the service
@@ -204,8 +205,8 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 func (s *Server) CacheStats() cache.Stats { return s.store.Stats() }
 
 // Close drains the service: in-flight cells stop at their next checkpoint
-// (writing a final one, so no work is lost), workers join, and the job
-// files record every preempted cell as pending for the next daemon.
+// (writing a final one, so no work is lost), workers join, and every
+// preempted cell stays pending on disk for the next daemon.
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -213,7 +214,13 @@ func (s *Server) Close() error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for _, id := range s.order {
+		errs = append(errs, closeJournal(s.jobs[id]))
+	}
+	return errors.Join(errs...)
 }
 
 // Submit validates, registers and enqueues one job, returning its
@@ -278,25 +285,25 @@ func (s *Server) Cancel(id string) error {
 		}
 	}
 	j.tracer.Emit("job_cancelled")
-	return persistJob(s.jobsDir, j)
+	return persist(s.jobsDir, j, cancelRecord)
 }
 
 // workerLoop pulls cells until the queue closes.
 func (s *Server) workerLoop() {
 	for {
-		j, c, ok := s.nextCell()
+		j, i, ok := s.nextCell()
 		if !ok {
 			return
 		}
-		s.runCell(j, c)
+		s.runCell(j, i)
 	}
 }
 
 // nextCell blocks for the next runnable cell, marking it running and its
 // key in flight inside the same critical section so its status is never
 // observably "pending but claimed". Returns ok=false when the server is
-// draining.
-func (s *Server) nextCell() (*job, *cell, bool) {
+// draining. It returns the cell's job and index.
+func (s *Server) nextCell() (*job, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -306,7 +313,7 @@ func (s *Server) nextCell() (*job, *cell, bool) {
 		// in-flight cells bounds Close latency by one checkpoint interval,
 		// not by queue length.)
 		if s.closed {
-			return nil, nil, false
+			return nil, 0, false
 		}
 		for i := 0; i < len(s.queue); {
 			ref := s.queue[i]
@@ -334,15 +341,17 @@ func (s *Server) nextCell() (*job, *cell, bool) {
 			c.Status = cellRunning
 			s.inflight[c.Key] = struct{}{}
 			s.cellsRunning.Add(1)
-			return j, c, true
+			return j, ref.idx, true
 		}
 		s.cond.Wait()
 	}
 }
 
-// runCell executes one claimed cell end to end: cache probe, simulation
-// with checkpoint + preemption wiring, cache install, state transition.
-func (s *Server) runCell(j *job, c *cell) {
+// runCell executes cell i of j, claimed by nextCell, end to end: cache
+// probe, simulation with checkpoint + preemption wiring, cache install,
+// state transition.
+func (s *Server) runCell(j *job, i int) {
+	c := j.cells[i] // the slice is immutable; the cell's state is not
 	j.tracer.Emit("cell_start", obs.F("name", c.name()), obs.F("key", c.Key))
 
 	if payload, ok, err := s.store.Get(c.Key); err == nil && ok {
@@ -351,7 +360,7 @@ func (s *Server) runCell(j *job, c *cell) {
 			// Another job may have completed this cell after a preemption
 			// left a checkpoint behind; it will never resume now.
 			s.removeCheckpoints(c)
-			s.finishCell(j, c, &env.Result, true, nil)
+			s.finishCell(j, i, &env.Result, true, nil)
 			return
 		}
 		// Unreadable or version-skewed entry: treat as a miss and recompute
@@ -369,7 +378,7 @@ func (s *Server) runCell(j *job, c *cell) {
 		payload, merr := json.Marshal(env)
 		if merr != nil {
 			s.removeCheckpoints(c)
-			s.finishCell(j, c, nil, false, merr)
+			s.finishCell(j, i, nil, false, merr)
 			return
 		}
 		if perr := s.store.Put(c.Key, payload); perr != nil {
@@ -378,22 +387,22 @@ func (s *Server) runCell(j *job, c *cell) {
 			j.tracer.Emit("cache_error", obs.F("key", c.Key), obs.F("err", perr.Error()))
 		}
 		s.removeCheckpoints(c)
-		s.finishCell(j, c, &res, false, nil)
+		s.finishCell(j, i, &res, false, nil)
 	case errors.Is(err, twl.ErrRunStopped):
 		if s.jobCancelled(j) {
 			s.removeCheckpoints(c)
-			s.finishCell(j, c, nil, false, err)
+			s.finishCell(j, i, nil, false, err)
 			return
 		}
 		// Drain preemption: the run already wrote its final checkpoint;
 		// hand the cell back to the next daemon.
 		s.preemptions.Inc()
-		s.requeueCell(j, c)
+		s.requeueCell(j, i)
 	default:
 		// A failed cell is terminal too — it never resumes, so keeping its
 		// checkpoint state would leak ckptDir space forever.
 		s.removeCheckpoints(c)
-		s.finishCell(j, c, nil, false, err)
+		s.finishCell(j, i, nil, false, err)
 	}
 }
 
@@ -409,7 +418,17 @@ func (r cellResult) shards() int {
 // wired in. Sharded specs route attack cells through the bank-sharded
 // runner; bench cells are rejected by it with ErrUnshardableSource and fall
 // back to the unsharded path — the service-level half of that contract.
-func (s *Server) simulate(j *job, c *cell) (cellResult, error) {
+//
+// A panicking simulation — a scheme bug that the cell's configuration
+// reaches — is returned as an error, so the cell settles failed instead of
+// killing the daemon (and, since the cell would reload pending, every
+// restart after it).
+func (s *Server) simulate(j *job, c *cell) (_ cellResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: cell %s panicked: %v", c.name(), r)
+		}
+	}()
 	spec := j.spec
 	sys := spec.system(c.Seed)
 	stop := func() bool { return s.draining.Load() || s.jobCancelled(j) }
@@ -467,7 +486,6 @@ func (s *Server) simulate(j *job, c *cell) (cellResult, error) {
 		},
 	}
 	var res twl.LifetimeResult
-	var err error
 	if kind == "attack" {
 		var mode twl.AttackMode
 		if mode, err = twl.ParseAttackMode(name); err == nil {
@@ -498,13 +516,14 @@ func (s *Server) removeCheckpoints(c *cell) {
 	_ = os.RemoveAll(filepath.Join(s.ckptDir, c.Key))
 }
 
-// finishCell settles a cell into a terminal state and persists the job.
+// finishCell settles cell i of j into a terminal state and persists it.
 // err == nil with a result means success (cached says which path); err
 // wrapping ErrRunStopped means the cell's job was cancelled mid-run; any
 // other error is a cell failure.
-func (s *Server) finishCell(j *job, c *cell, res *cellResult, cached bool, err error) {
+func (s *Server) finishCell(j *job, i int, res *cellResult, cached bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := j.cells[i]
 	s.cellsRunning.Add(-1)
 	// The key's checkpoint paths are free again; wake workers that may be
 	// holding a same-key duplicate back.
@@ -544,32 +563,43 @@ func (s *Server) finishCell(j *job, c *cell, res *cellResult, cached bool, err e
 		fields = append(fields, obs.F("err", c.Error))
 	}
 	j.tracer.Emit("cell_done", fields...)
-	if perr := persistJob(s.jobsDir, j); perr != nil {
-		j.tracer.Emit("persist_error", obs.F("err", perr.Error()))
-	}
+	s.persistCell(j, i)
 }
 
-// requeueCell returns a drain-preempted cell to pending. The server is
-// closing, so the cell is not pushed back on the live queue; the persisted
-// pending status re-enqueues it on the next daemon's startup. A cancel that
-// raced in after the stop poll settles the cell as cancelled instead.
-func (s *Server) requeueCell(j *job, c *cell) {
+// requeueCell returns drain-preempted cell i of j to pending. The server is
+// closing, so the cell is not pushed back on the live queue, and nothing is
+// written: pending is its state on disk, so the next daemon's startup
+// re-enqueues it. A cancel that raced in after the stop poll settles the
+// cell as cancelled instead.
+func (s *Server) requeueCell(j *job, i int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := j.cells[i]
 	s.cellsRunning.Add(-1)
 	delete(s.inflight, c.Key)
 	s.cond.Broadcast()
 	if j.cancelled {
 		c.Status = cellCancelled
 		s.outcomes[outcomeCancelled].Inc()
-		if perr := persistJob(s.jobsDir, j); perr != nil {
-			j.tracer.Emit("persist_error", obs.F("err", perr.Error()))
-		}
+		s.persistCell(j, i)
 		return
 	}
 	c.Status = cellPending
 	j.tracer.Emit("cell_preempted", obs.F("name", c.name()), obs.F("key", c.Key))
-	if perr := persistJob(s.jobsDir, j); perr != nil {
-		j.tracer.Emit("persist_error", obs.F("err", perr.Error()))
+}
+
+// persistCell records the terminal state cell i of j just reached, tracing
+// rather than returning a failure: the cell's outcome stands in memory, and
+// a restart that misses it re-settles the cell, from the result cache when
+// it completed.
+//
+//twl:locked mu
+func (s *Server) persistCell(j *job, i int) {
+	rec, err := cellRecord(j, i)
+	if err == nil {
+		err = persist(s.jobsDir, j, rec)
+	}
+	if err != nil {
+		j.tracer.Emit("persist_error", obs.F("err", err.Error()))
 	}
 }
