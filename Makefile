@@ -72,12 +72,14 @@ servesmoke:
 	./scripts/serve_check.sh
 
 # Short fuzz pass over every fuzz target (CI runs this; locally useful
-# before touching the trace readers, the Feistel network or the remap table).
+# before touching the trace readers, the workload sampler, the Feistel
+# network or the remap table).
 fuzzsmoke:
 	go test ./internal/trace -run '^$$' -fuzz FuzzTextReader -fuzztime 10s
 	go test ./internal/trace -run '^$$' -fuzz FuzzBinaryReader -fuzztime 10s
 	go test ./internal/trace -run '^$$' -fuzz FuzzNVMainReader -fuzztime 10s
 	go test ./internal/trace -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 10s
+	go test ./internal/trace -run '^$$' -fuzz FuzzSampleRank -fuzztime 10s
 	go test ./internal/rng -run '^$$' -fuzz FuzzFeistelBijection -fuzztime 10s
 	go test ./internal/tables -run '^$$' -fuzz FuzzRemapBijection -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz FuzzEventHorizon -fuzztime 10s

@@ -301,6 +301,13 @@ func (e *PackedEngine) Read(la int) (uint64, wl.Cost) {
 	return e.dev.Read(e.rt.Phys(la)), wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
 }
 
+// ReadN implements wl.Scheme.
+func (e *PackedEngine) ReadN(n int) wl.Cost {
+	e.stats.DemandReads += uint64(n)
+	e.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
+}
+
 // Stats implements wl.Scheme.
 func (e *PackedEngine) Stats() wl.Stats { return e.stats }
 

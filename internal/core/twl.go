@@ -485,6 +485,13 @@ func (e *Engine) Read(la int) (uint64, wl.Cost) {
 	return e.dev.Read(e.rt.Phys(la)), wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
 }
 
+// ReadN implements wl.Scheme.
+func (e *Engine) ReadN(n int) wl.Cost {
+	e.stats.DemandReads += uint64(n)
+	e.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
+}
+
 // Stats implements wl.Scheme.
 func (e *Engine) Stats() wl.Stats { return e.stats }
 

@@ -525,6 +525,10 @@ func (d *Device) Read(pp int) uint64 {
 	return d.payload[d.resolve(pp)]
 }
 
+// CountReads records n page reads whose payloads nobody consumes: the
+// device's read counter lands exactly where n Read calls would leave it.
+func (d *Device) CountReads(n int) { d.reads += uint64(n) }
+
 // Peek returns the payload without counting a device read (used by schemes
 // when migrating pages: the migration read is part of the swap operation and
 // its latency is charged separately).

@@ -72,17 +72,19 @@ func ckptRunOne(t *testing.T, build schemeFactory, kind string, disableFF bool, 
 // ckptCompare kills a run at killAt demand writes (leaving its last
 // checkpoint on disk), resumes it into a freshly constructed system, and
 // requires the resumed run to match the uninterrupted baseline exactly.
-func ckptCompare(t *testing.T, build schemeFactory, kind string, disableFF bool, baseline diffRun, killAt, every uint64) {
+// killFF and resumeFF pick each leg's loop (DisableFastForward), so a
+// checkpoint can be resumed on the loop that did not write it.
+func ckptCompare(t *testing.T, build schemeFactory, kind string, killFF, resumeFF bool, baseline diffRun, killAt, every uint64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	killed := ckptRunOne(t, build, kind, disableFF, killAt, &CheckpointConfig{Path: path, Every: every})
+	killed := ckptRunOne(t, build, kind, killFF, killAt, &CheckpointConfig{Path: path, Every: every})
 	if !killed.res.Capped {
 		t.Fatalf("killed run was not capped at %d (res %+v)", killAt, killed.res)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("killed run left no checkpoint: %v", err)
 	}
-	resumed := ckptRunOne(t, build, kind, disableFF, 0, &CheckpointConfig{Path: path, Every: every, Resume: true})
+	resumed := ckptRunOne(t, build, kind, resumeFF, 0, &CheckpointConfig{Path: path, Every: every, Resume: true})
 
 	if resumed.res != baseline.res {
 		t.Errorf("LifetimeResult differs:\nresumed:  %+v\nbaseline: %+v", resumed.res, baseline.res)
@@ -114,13 +116,13 @@ func ckptCompare(t *testing.T, build schemeFactory, kind string, disableFF bool,
 }
 
 // TestCheckpointResumeDifferential sweeps every registered scheme against
-// the four differential source kinds, killing each run both mid-lifetime
+// the differential source kinds, killing each run both mid-lifetime
 // (mid-fast-forward for bulk-writer schemes: the cadence is unaligned, so
 // checkpoints capture partially consumed source runs — under the
 // inconsistent attack that includes the stream's deferred-feedback debt)
 // and one demand write before the page failure.
 func TestCheckpointResumeDifferential(t *testing.T) {
-	kinds := []string{"repeat", "scan", "trace", "inconsistent"}
+	kinds := diffKinds
 	if testing.Short() {
 		kinds = kinds[:1]
 	}
@@ -138,11 +140,11 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 				}
 				// Mid-run kill: the last checkpoint precedes it by up to a
 				// full cadence, so the resume replays a partial interval.
-				ckptCompare(t, build, kind, false, baseline, baseline.res.DemandWrites/2, every)
+				ckptCompare(t, build, kind, false, false, baseline, baseline.res.DemandWrites/2, every)
 				// Kill one write before the failure: the resume must carry
 				// the run over the failure edge.
 				if !baseline.res.Capped {
-					ckptCompare(t, build, kind, false, baseline, baseline.res.DemandWrites-1, every)
+					ckptCompare(t, build, kind, false, false, baseline, baseline.res.DemandWrites-1, every)
 				}
 			})
 		}
@@ -158,7 +160,25 @@ func TestCheckpointResumePerRequestPath(t *testing.T) {
 			build := registryFactory(name)
 			baseline := ckptRunOne(t, build, "repeat", true, 0, nil)
 			every := baseline.res.DemandWrites/16 | 1
-			ckptCompare(t, build, "repeat", true, baseline, baseline.res.DemandWrites/2, every)
+			ckptCompare(t, build, "repeat", true, true, baseline, baseline.res.DemandWrites/2, every)
+		})
+	}
+}
+
+// TestCheckpointResumeAcrossPaths kills a PARSEC run on the per-request loop
+// and resumes it on writeLoop, and the reverse. Both loops stop the stream
+// right after a write and checkpoint the same loop and source state, so
+// either resume must match the uninterrupted run exactly. The handoff is
+// loop code, not scheme code, so two Fig. 8 schemes cover it.
+func TestCheckpointResumeAcrossPaths(t *testing.T) {
+	for _, name := range []string{"TWL_swp", "SR"} {
+		t.Run(name, func(t *testing.T) {
+			build := registryFactory(name)
+			baseline := ckptRunOne(t, build, "parsec", false, 0, nil)
+			every := baseline.res.DemandWrites/16 | 1
+			killAt := baseline.res.DemandWrites / 2
+			ckptCompare(t, build, "parsec", true, false, baseline, killAt, every)
+			ckptCompare(t, build, "parsec", false, true, baseline, killAt, every)
 		})
 	}
 }
@@ -244,10 +264,12 @@ func FuzzCheckpointResume(f *testing.F) {
 	f.Add(uint8(5), uint8(2), uint16(5), uint32(64), true)
 	f.Add(uint8(7), uint8(0), uint16(2), uint32(4099), false)
 	f.Add(uint8(9), uint8(3), uint16(2), uint32(512), false)
+	f.Add(uint8(2), uint8(4), uint16(3), uint32(701), false)
+	f.Add(uint8(6), uint8(4), uint16(2), uint32(1500), true)
 	f.Fuzz(func(t *testing.T, schemeSel, kindSel uint8, killDiv uint16, cadence uint32, disableFF bool) {
 		names := wl.Names()
 		name := names[int(schemeSel)%len(names)]
-		kind := []string{"repeat", "scan", "trace", "inconsistent"}[int(kindSel)%4]
+		kind := diffKinds[int(kindSel)%len(diffKinds)]
 		every := uint64(cadence%65536 + 1)
 		build := func(t *testing.T) wl.Scheme {
 			t.Helper()

@@ -156,16 +156,12 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 			if !write {
 				// Read runs never intersect a checkpoint (checkpoints fire
 				// on demand-write boundaries only), so they are served
-				// whole and never persisted as pending state.
-				for i := 0; i < n; i++ {
-					a := addr
-					if sweep {
-						a = addr + i
-					}
-					l.readOne(a)
-					if l.observer != nil {
-						l.observer.Observe(l.fb, 1)
-					}
+				// whole and never persisted as pending state. Reads are
+				// address-free and share one feedback, so one ReadN and one
+				// Observe stand for the run's per-read calls.
+				l.readN(n)
+				if l.observer != nil {
+					l.observer.Observe(l.fb, n)
 				}
 				continue
 			}
@@ -233,6 +229,31 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 		}
 		if l.runN == 0 {
 			l.runActive = false
+		}
+	}
+	return nil
+}
+
+// writeLoop serves a WriteSource: the reads in front of each write are
+// charged with one ReadN, then the write is served exactly as
+// perRequestLoop serves it. The stream stops after each write, so loop and
+// source state at every checkpoint equal the per-request loop's.
+//
+//twl:hotpath
+func (l *lifetimeState) writeLoop(src WriteSource) error {
+	for l.demand < l.limit {
+		reads, addr := src.NextWrite()
+		if reads > 0 {
+			l.readN(reads)
+		}
+		if err := l.writeOne(addr); err != nil {
+			return err
+		}
+		if l.failed() {
+			return nil
+		}
+		if err := l.ckptAt(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -340,6 +361,19 @@ func (l *lifetimeState) readOne(addr int) {
 			l.metrics.blocked.Inc()
 		}
 		l.metrics.latency.Observe(float64(c))
+	}
+}
+
+// readN serves n > 0 demand reads with one ReadN call. The reads share one
+// never-blocked cost (the wl.Scheme.ReadN contract), so cycles, metrics and
+// feedback land exactly where n readOne calls would leave them.
+func (l *lifetimeState) readN(n int) {
+	c := l.s.ReadN(n).Cycles(l.timing)
+	l.cycles += c * int64(n)
+	l.fb = attack.Feedback{Blocked: false, Cycles: c}
+	if l.metrics != nil {
+		l.metrics.reads.Add(uint64(n))
+		l.metrics.latency.ObserveN(float64(c), uint64(n))
 	}
 }
 

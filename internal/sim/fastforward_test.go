@@ -70,6 +70,12 @@ func diffTrace() []trace.Record {
 	return recs
 }
 
+// diffKinds are the differential source kinds: each fast loop against the
+// per-request reference. repeat and inconsistent drive bulkLoop's run path
+// (inconsistent with deferred feedback), scan its sweep path, trace its run
+// path with read runs, and parsec writeLoop's batched reads.
+var diffKinds = []string{"repeat", "scan", "trace", "inconsistent", "parsec"}
+
 // diffSource builds the request source for one differential run, sized to
 // the scheme's demand-addressable space (schemes with spare gap pages serve
 // fewer logical pages than the device holds).
@@ -95,6 +101,16 @@ func diffSource(t *testing.T, kind string, pages int) Source {
 			t.Fatal(err)
 		}
 		return src
+	case "parsec":
+		b, err := trace.BenchmarkByName("canneal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := trace.NewSynthetic(b, pages, diffSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromWorkload(g)
 	}
 	t.Fatalf("unknown source kind %q", kind)
 	return nil
@@ -264,17 +280,17 @@ func TestFastForwardImplementers(t *testing.T) {
 }
 
 // TestFastForwardDifferential runs every registered scheme against the
-// repeat attack, the scan attack, a bursty RLE trace replay, and the
-// feedback-driven inconsistent attack through both the fast-forward and the
-// per-request paths, and requires bit-identical observables (see
-// diffCompare). With OD3P and RBSG implementing the writers the matrix has
-// no per-write-only cell left; the inconsistent column additionally proves
-// that deferred feedback delivery (sim.FeedbackObserver) keeps the
-// attacker's swap-phase detection — and hence every reversal — bit-aligned
-// with the serial stream.
+// repeat attack, the scan attack, a bursty RLE trace replay, the
+// feedback-driven inconsistent attack and a PARSEC workload through both
+// the fast paths and the per-request path, and requires bit-identical
+// observables (see diffCompare). With OD3P and RBSG implementing the
+// writers the matrix has no per-write-only cell left; the inconsistent
+// column additionally proves that deferred feedback delivery
+// (sim.FeedbackObserver) keeps the attacker's swap-phase detection — and
+// hence every reversal — bit-aligned with the serial stream.
 func TestFastForwardDifferential(t *testing.T) {
 	for _, name := range wl.Names() {
-		for _, kind := range []string{"repeat", "scan", "trace", "inconsistent"} {
+		for _, kind := range diffKinds {
 			t.Run(name+"/"+kind, func(t *testing.T) {
 				diffCompare(t, registryFactory(name), kind)
 			})
@@ -347,7 +363,7 @@ func TestFastForwardDifferentialTWLVariants(t *testing.T) {
 		}},
 	}
 	for _, v := range variants {
-		for _, kind := range []string{"repeat", "scan", "trace", "inconsistent"} {
+		for _, kind := range diffKinds {
 			t.Run(v.name+"/"+kind, func(t *testing.T) {
 				diffCompare(t, twlFactory(v.cfg), kind)
 			})
@@ -380,7 +396,7 @@ func TestFastForwardDifferentialWRLVariants(t *testing.T) {
 		{"partial_swap", wrl.Config{PredictionWrites: 128, RunningMultiplier: 5, MaxSwapFraction: 0.25}},
 	}
 	for _, v := range variants {
-		for _, kind := range []string{"repeat", "scan", "trace", "inconsistent"} {
+		for _, kind := range diffKinds {
 			t.Run(v.name+"/"+kind, func(t *testing.T) {
 				diffCompare(t, wrlFactory(v.cfg), kind)
 			})

@@ -70,6 +70,18 @@ type SweepSource interface {
 	NextSweep(fb attack.Feedback) (addr int, write bool, n int)
 }
 
+// WriteSource is the extension a feedback-independent Source implements
+// when its reads need no address: NextWrite advances the stream through its
+// next write and returns how many reads preceded it and the write's
+// address. RunLifetime charges those reads with one wl.Scheme.ReadN call, so
+// the stream never resolves a read's page. NextWrite must leave the stream
+// exactly where the per-request Next calls serving the same requests would,
+// so a checkpoint taken on either loop resumes on the other.
+type WriteSource interface {
+	Source
+	NextWrite() (reads, addr int)
+}
+
 // attackSource adapts an attack.Stream (write-only) to Source.
 type attackSource struct{ s attack.Stream }
 
@@ -134,7 +146,10 @@ type workloadSource struct{ g *trace.Synthetic }
 
 func (w workloadSource) Next(attack.Feedback) (int, bool) { return w.g.Next() }
 
-// FromWorkload wraps a benchmark generator as a request source.
+func (w workloadSource) NextWrite() (int, int) { return w.g.NextWrite() }
+
+// FromWorkload wraps a benchmark generator as a request source. The source
+// is a WriteSource: lifetime runs skip resolving read addresses.
 func FromWorkload(g *trace.Synthetic) Source { return workloadSource{g} }
 
 // replayRec is a trace record with the address already folded into the
@@ -229,10 +244,10 @@ type LifetimeConfig struct {
 	// wear-histogram snapshot), and an end event with the run summary.
 	Trace *obs.Tracer
 	// DisableFastForward forces the per-request loop even when the source
-	// and scheme support run-length fast-forwarding. The fast path is
-	// bit-identical by contract (the differential tests pin it), so this
-	// exists for those tests and for benchmarking the paths against each
-	// other.
+	// and scheme support run-length fast-forwarding or the source batches
+	// its reads (WriteSource). The fast paths are bit-identical by contract
+	// (the differential tests pin them), so this exists for those tests and
+	// for benchmarking the paths against each other.
 	DisableFastForward bool
 	// Checkpoint, when non-nil, periodically serializes the whole run state
 	// to a file and/or resumes from one; see CheckpointConfig. The scheme
@@ -471,8 +486,9 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 
 	// Fast-forward when the source can emit runs/sweeps; the bulk loop
 	// serves per-request (bit-identically) for schemes that don't opt in.
-	// The per-request loop remains for plain sources and for callers that
-	// pin the baseline path.
+	// A WriteSource batches the reads in front of each write. The
+	// per-request loop remains for plain sources and for callers that pin
+	// the baseline path.
 	var err error
 	if cfg.DisableFastForward {
 		err = l.perRequestLoop(src)
@@ -482,6 +498,8 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 			err = l.bulkLoop(bs.NextRun, false)
 		case SweepSource:
 			err = l.bulkLoop(bs.NextSweep, true)
+		case WriteSource:
+			err = l.writeLoop(bs)
 		default:
 			err = l.perRequestLoop(src)
 		}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"twl/internal/rng"
 )
@@ -113,6 +112,10 @@ type Synthetic struct {
 	burstPage int
 	burstLeft int
 	gapWrites float64 // snap: derived at NewSynthetic; GapFactor × pages
+
+	// guide resolves read ranks for Next. It is built on the first read
+	// Next serves, so streams consumed through NextWrite never allocate it.
+	guide guideTable // snap: derived from cdf on first use
 }
 
 // NewSynthetic builds a generator for bench over pages logical pages.
@@ -227,8 +230,10 @@ func (g *Synthetic) buildPerm(seed uint64) {
 
 // samplePage draws a page according to the Zipf locality.
 func (g *Synthetic) samplePage() int {
-	u := g.src.Float64()
-	rank := sort.SearchFloat64s(g.cdf, u)
+	if g.guide.start == nil {
+		g.guide = newGuideTable(g.cdf)
+	}
+	rank := g.guide.rank(g.src.Float64())
 	if rank >= g.footprint {
 		rank = g.footprint - 1
 	}
@@ -242,6 +247,29 @@ func (g *Synthetic) Next() (addr int, write bool) {
 	if g.src.Float64() >= g.bench.WriteFraction {
 		return g.samplePage(), false
 	}
+	return g.burstWrite(), true
+}
+
+// NextWrite advances the stream through its next write and returns how many
+// reads preceded it and the write's page. Each read consumes the same RNG
+// draws as under Next, but its page is never resolved, so a caller that
+// does not need read addresses skips the rank lookup. The stream stops
+// right after the returned write: the generator's state then equals the
+// state a Next caller reaches after the same write, so Snapshot bytes and
+// the continuation of either method agree.
+//
+//twl:hotpath
+func (g *Synthetic) NextWrite() (reads, addr int) {
+	for g.src.Float64() >= g.bench.WriteFraction {
+		g.src.Uint64() // the read's page draw (samplePage's Float64)
+		reads++
+	}
+	return reads, g.burstWrite()
+}
+
+// burstWrite serves one write from the burst machine, starting the next
+// burst when the current one is spent.
+func (g *Synthetic) burstWrite() int {
 	for g.burstLeft <= 0 {
 		// Round-robin arrival, rate-proportional length (probabilistically
 		// rounded so even tail pages keep their exact long-run share).
@@ -258,7 +286,7 @@ func (g *Synthetic) Next() (addr int, write bool) {
 		g.burstPage = g.perm[rank]
 	}
 	g.burstLeft--
-	return g.burstPage, true
+	return g.burstPage
 }
 
 // HottestShare returns the designed write share of the hottest page.

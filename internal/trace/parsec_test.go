@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -196,5 +197,52 @@ func BenchmarkSyntheticNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
+	}
+}
+
+// TestNextWriteMatchesNext: NextWrite returns the read count and write page
+// the per-request Next stream produces, and leaves the generator in the same
+// state (identical Snapshot bytes) after every write, so a stream can switch
+// between the two methods at any write boundary.
+func TestNextWriteMatchesNext(t *testing.T) {
+	for _, b := range PARSEC() {
+		batched, err := NewSynthetic(b, 512, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := NewSynthetic(b, 512, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb, ss bytes.Buffer
+		for w := 0; w < 20000; w++ {
+			reads, addr := batched.NextWrite()
+			n := 0
+			for {
+				a, write := serial.Next()
+				if write {
+					if a != addr || n != reads {
+						t.Fatalf("%s write %d: NextWrite (%d reads, page %d), Next (%d reads, page %d)",
+							b.Name, w, reads, addr, n, a)
+					}
+					break
+				}
+				n++
+			}
+			if w%1000 != 0 {
+				continue
+			}
+			sb.Reset()
+			ss.Reset()
+			if err := batched.Snapshot(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if err := serial.Snapshot(&ss); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sb.Bytes(), ss.Bytes()) {
+				t.Fatalf("%s write %d: snapshots differ", b.Name, w)
+			}
+		}
 	}
 }

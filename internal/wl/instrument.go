@@ -63,6 +63,14 @@ func (w *instrumented) Read(la int) (uint64, Cost) {
 	return v, cost
 }
 
+// ReadN forwards bulk reads and accounts them as n identical per-request
+// reads (ReadN's cost is shared and never blocked).
+func (w *instrumented) ReadN(n int) Cost {
+	cost := w.Scheme.ReadN(n)
+	w.recordBulk(cost, n, w.reads)
+	return cost
+}
+
 func (w *instrumented) record(cost Cost) {
 	if cost.Blocked {
 		w.blocked.Inc()

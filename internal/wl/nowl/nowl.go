@@ -59,6 +59,13 @@ func (s *Scheme) Read(la int) (uint64, wl.Cost) {
 	return s.dev.Read(la), wl.Cost{DeviceReads: 1}
 }
 
+// ReadN implements wl.Scheme.
+func (s *Scheme) ReadN(n int) wl.Cost {
+	s.stats.DemandReads += uint64(n)
+	s.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1}
+}
+
 // Stats implements wl.Scheme.
 func (s *Scheme) Stats() wl.Stats { return s.stats }
 

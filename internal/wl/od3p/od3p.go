@@ -242,6 +242,16 @@ func (s *Scheme) Read(la int) (uint64, wl.Cost) {
 	return s.dev.Read(pa), cost
 }
 
+// ReadN implements wl.Scheme. Read performs exactly one device read on
+// every branch: a page enters store only after Write has set its buddy, and
+// buddy is never reset to -1, so the dead-page branch always reads the
+// partner instead.
+func (s *Scheme) ReadN(n int) wl.Cost {
+	s.stats.DemandReads += uint64(n)
+	s.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1, ExtraCycles: wl.TableCycles}
+}
+
 // Stats implements wl.Scheme.
 func (s *Scheme) Stats() wl.Stats { return s.stats }
 

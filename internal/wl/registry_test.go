@@ -31,6 +31,7 @@ type fakeScheme struct {
 func (f *fakeScheme) Name() string            { return f.name }
 func (f *fakeScheme) Write(int, uint64) Cost  { return Cost{DeviceWrites: 1} }
 func (f *fakeScheme) Read(int) (uint64, Cost) { return 0, Cost{DeviceReads: 1} }
+func (f *fakeScheme) ReadN(int) Cost          { return Cost{DeviceReads: 1} }
 func (f *fakeScheme) Stats() Stats            { return Stats{} }
 func (f *fakeScheme) Device() *pcm.Device     { return f.dev }
 

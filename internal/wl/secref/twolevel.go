@@ -344,6 +344,13 @@ func (s *TwoLevel) Read(la int) (uint64, wl.Cost) {
 	return s.dev.Read(s.physical(la)), wl.Cost{DeviceReads: 1, ExtraCycles: 2 * wl.TableCycles}
 }
 
+// ReadN implements wl.Scheme.
+func (s *TwoLevel) ReadN(n int) wl.Cost {
+	s.stats.DemandReads += uint64(n)
+	s.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1, ExtraCycles: 2 * wl.TableCycles}
+}
+
 // Stats implements wl.Scheme.
 func (s *TwoLevel) Stats() wl.Stats { return s.stats }
 

@@ -222,6 +222,13 @@ func (s *Scheme) Read(la int) (uint64, wl.Cost) {
 	return s.dev.Read(pa), wl.Cost{DeviceReads: 1, ExtraCycles: wl.ControlCycles}
 }
 
+// ReadN implements wl.Scheme.
+func (s *Scheme) ReadN(n int) wl.Cost {
+	s.stats.DemandReads += uint64(n)
+	s.dev.CountReads(n)
+	return wl.Cost{DeviceReads: 1, ExtraCycles: wl.ControlCycles}
+}
+
 // Stats implements wl.Scheme.
 func (s *Scheme) Stats() wl.Stats { return s.stats }
 

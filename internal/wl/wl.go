@@ -101,6 +101,16 @@ type Scheme interface {
 	// Read serves a logical page read, returning the payload last written
 	// to la.
 	Read(la int) (uint64, Cost)
+	// ReadN serves n >= 0 demand reads whose addresses and payloads the
+	// caller does not need. A read's effect on the machine is
+	// address-free: every Read bumps DemandReads, performs exactly one
+	// device read and returns the same never-blocked Cost, whatever la it
+	// serves. ReadN must leave Stats, the device read counter and the
+	// snapshot bytes exactly as n Read calls at any in-range addresses
+	// would, and returns their common Cost; n == 0 changes nothing. A
+	// decorator that intercepts Read must intercept ReadN too, or bulk
+	// reads bypass it (DESIGN.md "Request paths and address-free reads").
+	ReadN(n int) Cost
 	// Stats returns the accumulated activity counters.
 	Stats() Stats
 	// Device returns the underlying PCM array.
