@@ -311,58 +311,61 @@ func twlFactory(cfg func(seed uint64) core.Config) schemeFactory {
 	}
 }
 
+// twlVariants are hand-configured TWL engines covering the dimensions the
+// registry rows don't reach: every pairing under the xorshift alpha source
+// (the registry uses Feistel), the toss-up interval at the 7-bit WCT wrap
+// (tables.MaxInterval, where the firing condition is the wrap to zero
+// rather than the >= interval compare), interval 1 (every write is a
+// toss-up — the fast path must absorb nothing), and the inter-pair swap
+// disabled and at its most aggressive setting.
+var twlVariants = []struct {
+	name string
+	cfg  func(seed uint64) core.Config
+}{
+	{"swp_xorshift", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.UseFeistel = false
+		return c
+	}},
+	{"ap_xorshift", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.Pairing = core.Adjacent
+		c.UseFeistel = false
+		return c
+	}},
+	{"rand_xorshift", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.Pairing = core.Random
+		c.UseFeistel = false
+		return c
+	}},
+	{"interval_wrap128", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.TossUpInterval = 128 // == tables.MaxInterval: fires on the WCT wrap to zero
+		return c
+	}},
+	{"interval_1", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.TossUpInterval = 1 // every write tosses: absorbed must stay 0
+		return c
+	}},
+	{"ips_disabled", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.InterPairSwapInterval = 0
+		return c
+	}},
+	{"ips_1_xorshift", func(seed uint64) core.Config {
+		c := core.DefaultConfig(seed)
+		c.InterPairSwapInterval = 1 // every write inter-pair swaps
+		c.UseFeistel = false
+		return c
+	}},
+}
+
 // TestFastForwardDifferentialTWLVariants extends the matrix across the
-// dimensions the registry rows don't reach: every pairing under the
-// xorshift alpha source (the registry uses Feistel), the toss-up interval
-// at the 7-bit WCT wrap (tables.MaxInterval, where the firing condition is
-// the wrap to zero rather than the >= interval compare), interval 1 (every
-// write is a toss-up — the fast path must absorb nothing), and the
-// inter-pair swap disabled and at its most aggressive setting.
+// twlVariants configurations.
 func TestFastForwardDifferentialTWLVariants(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  func(seed uint64) core.Config
-	}{
-		{"swp_xorshift", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.UseFeistel = false
-			return c
-		}},
-		{"ap_xorshift", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.Pairing = core.Adjacent
-			c.UseFeistel = false
-			return c
-		}},
-		{"rand_xorshift", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.Pairing = core.Random
-			c.UseFeistel = false
-			return c
-		}},
-		{"interval_wrap128", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.TossUpInterval = 128 // == tables.MaxInterval: fires on the WCT wrap to zero
-			return c
-		}},
-		{"interval_1", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.TossUpInterval = 1 // every write tosses: absorbed must stay 0
-			return c
-		}},
-		{"ips_disabled", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.InterPairSwapInterval = 0
-			return c
-		}},
-		{"ips_1_xorshift", func(seed uint64) core.Config {
-			c := core.DefaultConfig(seed)
-			c.InterPairSwapInterval = 1 // every write inter-pair swaps
-			c.UseFeistel = false
-			return c
-		}},
-	}
-	for _, v := range variants {
+	for _, v := range twlVariants {
 		for _, kind := range diffKinds {
 			t.Run(v.name+"/"+kind, func(t *testing.T) {
 				diffCompare(t, twlFactory(v.cfg), kind)

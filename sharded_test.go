@@ -2,6 +2,9 @@ package twl
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -286,5 +289,32 @@ func TestShardedStopResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(baseline, resumed) {
 		t.Errorf("resume after preemption differs:\nbaseline: %+v\nresumed: %+v", baseline, resumed)
+	}
+}
+
+// TestShardedGolden pins one sharded TWL_swp × inconsistent run to the
+// merged result recorded in testdata/golden_sharded.txt. To record a new
+// baseline after an intended behavior change, delete the file and run the
+// test twice.
+func TestShardedGolden(t *testing.T) {
+	const path = "testdata/golden_sharded.txt"
+	res, err := RunShardedLifetime(shardedTestSystem(33),
+		ShardedConfig{Scheme: "TWL_swp", Mode: AttackInconsistent, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%+v\n", *res)
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %s; rerun to check it", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("sharded outcome moved:\n got: %s\nwant: %s", got, want)
 	}
 }
