@@ -42,7 +42,7 @@ benchsmoke:
 # Hot-loop benchmark: full lifetime runs through the fast-forward path vs
 # the per-write path over every registered scheme × attack (repeat, scan and
 # the paper's inconsistent attack), plus the per-scheme bytes-per-page
-# footprint audit on both storage widths, written to BENCH_PR9.json. The
+# footprint audit, written to BENCH_PR9.json. The
 # benchcmp step then diffs both paths and the footprints against the
 # committed PR 7 baseline; it reports regressions but is non-fatal here
 # (wall-clock noise across machines is not a failure — the committed

@@ -226,3 +226,37 @@ func TestInstrumentFacade(t *testing.T) {
 		t.Fatalf("instrumented write counter = %d, want 5", got)
 	}
 }
+
+// TestStackBytesPerPage pins the simulated controller's memory layout:
+// every scheme's device state is 16 B/page (uint32 wear and endurance, a
+// uint64 payload tag), and the TWL engines add 22 B/page of tables, 38
+// B/page for the whole TWL stack.
+func TestStackBytesPerPage(t *testing.T) {
+	sys := SmallSystem(11)
+	for _, name := range SchemeNames() {
+		dev, err := sys.NewDevice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewScheme(name, dev, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Footprint().PerPage(sys.Pages); got != 16 {
+			t.Errorf("%s: device %v B/page, want 16", name, got)
+		}
+		if !strings.HasPrefix(name, "TWL_") {
+			continue
+		}
+		tables, ok := TableBytesOf(s)
+		if !ok {
+			t.Fatalf("%s does not report its table bytes", name)
+		}
+		if perPage := float64(tables) / float64(sys.Pages); perPage != 22 {
+			t.Errorf("%s: tables %v B/page, want 22", name, perPage)
+		}
+		if total := tables + dev.Footprint().Total(); total != 38*int64(sys.Pages) {
+			t.Errorf("%s: stack %d bytes, want 38 B/page x %d pages", name, total, sys.Pages)
+		}
+	}
+}

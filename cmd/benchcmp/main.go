@@ -10,9 +10,10 @@
 // trajectory records.
 //
 // When both reports carry benchff's footprint audit, the same threshold
-// additionally gates bytes-per-page per scheme on both storage widths —
-// the layout is deterministic, so any growth is a real regression, not
-// noise.
+// additionally gates bytes-per-page per scheme — the layout is
+// deterministic, so any growth is a real regression, not noise. Reports
+// from before the wide storage layout was removed also carry a wide
+// column; it is ignored.
 //
 //	go run ./cmd/benchcmp BENCH_PR7.json BENCH_PR9.json
 //
@@ -42,8 +43,7 @@ type result struct {
 // the audit have a nil map; the footprint gate only engages when both
 // reports carry it.
 type footprint struct {
-	WideBytesPerPage   float64 `json:"wide_bytes_per_page"`
-	PackedBytesPerPage float64 `json:"packed_bytes_per_page"`
+	BytesPerPage float64 `json:"packed_bytes_per_page"`
 }
 
 type report struct {
@@ -142,8 +142,8 @@ func main() {
 	}
 
 	// Footprint gate: the memory layout is deterministic (no wall-clock
-	// noise), so any growth beyond the threshold on either storage width is
-	// a real layout regression. Absent maps (older reports) skip the gate.
+	// noise), so any growth beyond the threshold is a real layout
+	// regression. Absent maps (older reports) skip the gate.
 	fpJoined := 0
 	if len(oldFP) > 0 && len(newFP) > 0 {
 		fpKeys := make([]string, 0, len(oldFP))
@@ -158,25 +158,17 @@ func main() {
 				continue
 			}
 			fpJoined++
-			for _, axis := range []struct {
-				name     string
-				old, new float64
-			}{
-				{"wide", o.WideBytesPerPage, n.WideBytesPerPage},
-				{"packed", o.PackedBytesPerPage, n.PackedBytesPerPage},
-			} {
-				if axis.old <= 0 {
-					continue
-				}
-				delta := axis.new/axis.old - 1
-				mark := ""
-				if delta > *threshold {
-					mark = "  REGRESSED"
-					regressed = true
-				}
-				fmt.Printf("%-20s %-6s footprint %7.1f -> %7.1f B/page  (%+6.1f%%)%s\n",
-					k, axis.name, axis.old, axis.new, delta*100, mark)
+			if o.BytesPerPage <= 0 {
+				continue
 			}
+			delta := n.BytesPerPage/o.BytesPerPage - 1
+			mark := ""
+			if delta > *threshold {
+				mark = "  REGRESSED"
+				regressed = true
+			}
+			fmt.Printf("%-20s footprint %7.1f -> %7.1f B/page  (%+6.1f%%)%s\n",
+				k, o.BytesPerPage, n.BytesPerPage, delta*100, mark)
 		}
 	}
 

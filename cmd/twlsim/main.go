@@ -28,6 +28,7 @@ import (
 	"twl/internal/report"
 	"twl/internal/sim"
 	"twl/internal/trace"
+	"twl/internal/wl"
 )
 
 func main() {
@@ -113,7 +114,7 @@ func main() {
 		}
 		b, err := trace.BenchmarkByName(name)
 		fatal(err)
-		g, err := trace.NewSynthetic(b, sys.Pages, *seed+13)
+		g, err := trace.NewSynthetic(b, wl.LogicalPages(s), *seed+13)
 		fatal(err)
 		src = sim.FromWorkload(g)
 		ideal = twl.IdealYears(b.WriteBandwidthMBps * 1e6)

@@ -65,25 +65,36 @@ func RunAttackCell(sys SystemConfig, scheme string, mode AttackMode, lc Lifetime
 
 // RunBenchCell is RunAttackCell's benchmark counterpart: one scheme ×
 // PARSEC-workload lifetime cell, constructed exactly as RunFig8 builds each
-// bar (scheme at Seed+13, synthetic workload at Seed+17).
+// bar (scheme at Seed+13, synthetic workload at Seed+17). The workload
+// spans the scheme's logical pages (wl.LogicalPages), which for StartGap
+// and RBSG is fewer than sys.Pages.
 func RunBenchCell(sys SystemConfig, scheme, bench string, lc LifetimeConfig) (LifetimeResult, error) {
-	b, err := trace.BenchmarkByName(bench)
+	s, src, err := benchCell(sys, scheme, bench)
 	if err != nil {
 		return LifetimeResult{}, err
+	}
+	return sim.RunLifetime(s, src, lc)
+}
+
+// benchCell builds RunBenchCell's scheme and workload.
+func benchCell(sys SystemConfig, scheme, bench string) (Scheme, sim.Source, error) {
+	b, err := trace.BenchmarkByName(bench)
+	if err != nil {
+		return nil, nil, err
 	}
 	dev, err := sys.NewDevice()
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
 	s, err := lifetimeScheme(scheme, dev, sys.Seed+13, sys)
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
-	g, err := trace.NewSynthetic(b, sys.Pages, sys.Seed+17)
+	g, err := trace.NewSynthetic(b, wl.LogicalPages(s), sys.Seed+17)
 	if err != nil {
-		return LifetimeResult{}, err
+		return nil, nil, err
 	}
-	return sim.RunLifetime(s, sim.FromWorkload(g), lc)
+	return s, sim.FromWorkload(g), nil
 }
 
 // ------------------------------------------------------------------------
@@ -672,11 +683,7 @@ func RunRetirement(sys SystemConfig, cfg RetirementConfig) (*RetirementResult, e
 	if err != nil {
 		return nil, err
 	}
-	pages := sys.Pages
-	if z, ok := s.(interface{ LogicalPages() int }); ok {
-		pages = z.LogicalPages()
-	}
-	src, err := NewAttack(cfg.Mode, pages, sys.Seed+11)
+	src, err := NewAttack(cfg.Mode, wl.LogicalPages(s), sys.Seed+11)
 	if err != nil {
 		return nil, err
 	}

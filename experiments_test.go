@@ -3,6 +3,9 @@ package twl
 import (
 	"math"
 	"testing"
+
+	"twl/internal/sim"
+	"twl/internal/wl"
 )
 
 // The experiment tests run at SmallSystem scale so the whole suite stays
@@ -331,5 +334,47 @@ func TestRunRetirementCapacityThreshold(t *testing.T) {
 	if res.Result.SparesUsed >= res.Result.SparePages {
 		t.Fatalf("spares used %d of %d; expected threshold to bind first",
 			res.Result.SparesUsed, res.Result.SparePages)
+	}
+}
+
+// addrCheck records the largest logical address written through it. It
+// exposes only the Scheme methods, so the simulator serves every write
+// through Write.
+type addrCheck struct {
+	Scheme
+	max int
+}
+
+func (a *addrCheck) Write(la int, tag uint64) Cost {
+	a.max = max(a.max, la)
+	return a.Scheme.Write(la, tag)
+}
+
+// TestBenchCellSizedToLogicalPages: a PARSEC cell's workload spans the
+// scheme's logical pages, not the device's. RBSG and StartGap serve fewer
+// logical pages than the device has; a workload over sys.Pages sent RBSG
+// past its region table and StartGap onto a page it does not have.
+func TestBenchCellSizedToLogicalPages(t *testing.T) {
+	// At seed 3 every PARSEC workload sized to 512 pages writes page 511.
+	sys := SmallSystem(3)
+	for _, scheme := range []string{"RBSG", "StartGap"} {
+		res, err := RunBenchCell(sys, scheme, "canneal", LifetimeConfig{})
+		if err != nil {
+			t.Fatalf("%s x canneal: %v", scheme, err)
+		}
+		if res.DemandWrites == 0 || res.Capped {
+			t.Errorf("%s x canneal: %+v, want a run to first failure", scheme, res)
+		}
+	}
+	s, src, err := benchCell(sys, "StartGap", "canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := &addrCheck{Scheme: s}
+	if _, err := sim.RunLifetime(chk, src, sim.LifetimeConfig{MaxDemandWrites: 200000}); err != nil {
+		t.Fatal(err)
+	}
+	if limit := wl.LogicalPages(s); chk.max >= limit {
+		t.Errorf("StartGap saw logical address %d, has %d logical pages", chk.max, limit)
 	}
 }

@@ -20,7 +20,7 @@ func TestETNoiseZeroMatchesTrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 64; p++ {
-		if e.et[p] != dev.Endurance(p) {
+		if uint64(e.et[p]) != dev.Endurance(p) {
 			t.Fatalf("noise-free ET differs from device at page %d", p)
 		}
 	}
@@ -36,7 +36,7 @@ func TestETNoisePerturbsTable(t *testing.T) {
 	}
 	diff := 0
 	for p := 0; p < 256; p++ {
-		if e.et[p] != dev.Endurance(p) {
+		if uint64(e.et[p]) != dev.Endurance(p) {
 			diff++
 		}
 	}

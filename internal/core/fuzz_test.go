@@ -58,12 +58,12 @@ func fuzzEngine(t *testing.T, cfg Config, la int, v uint8, ips uint32, margin ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.pairIdx[e.rt.Phys(la)]
+	rep := e.pairRep(e.rt.Phys(la))
 	for i := 0; i < int(v); i++ {
 		e.wct.Inc(rep)
 	}
 	if cfg.InterPairSwapInterval > 0 {
-		e.ipsCount[la] = ips % uint32(cfg.InterPairSwapInterval)
+		e.ips[la] = uint8(ips % uint32(cfg.InterPairSwapInterval))
 	}
 	return e
 }
@@ -87,17 +87,17 @@ func compareEngines(t *testing.T, fast, slow *Engine) {
 		if fast.rt.Phys(fast.rt.Log(pp)) != pp {
 			t.Fatalf("fast RT lost bijectivity at %d", pp)
 		}
-		if fast.wct.Get(fast.pairIdx[pp]) != slow.wct.Get(slow.pairIdx[pp]) {
+		if fast.wct.Get(fast.pairRep(pp)) != slow.wct.Get(slow.pairRep(pp)) {
 			t.Fatalf("wct[pair of %d]: fast %d, slow %d",
-				pp, fast.wct.Get(fast.pairIdx[pp]), slow.wct.Get(slow.pairIdx[pp]))
+				pp, fast.wct.Get(fast.pairRep(pp)), slow.wct.Get(slow.pairRep(pp)))
 		}
 	}
-	for la := range fast.ipsCount {
+	for la := range fast.ips {
 		if fast.rt.Phys(la) != slow.rt.Phys(la) {
 			t.Fatalf("rt[%d]: fast %d, slow %d", la, fast.rt.Phys(la), slow.rt.Phys(la))
 		}
-		if fast.ipsCount[la] != slow.ipsCount[la] {
-			t.Fatalf("ipsCount[%d]: fast %d, slow %d", la, fast.ipsCount[la], slow.ipsCount[la])
+		if fast.ips[la] != slow.ips[la] {
+			t.Fatalf("ips[%d]: fast %d, slow %d", la, fast.ips[la], slow.ips[la])
 		}
 	}
 	if fast.stats != slow.stats {
@@ -137,8 +137,9 @@ func FuzzEventHorizon(f *testing.F) {
 			t.Fatalf("tossUpDistance(%d, %d) = %d, countdown gives %d", v, interval, got, want)
 		}
 		if ipsInterval > 0 {
-			if got, want := ipsDistance(ips, ipsInterval), refIPSDistance(ips, ipsInterval); got != want {
-				t.Fatalf("ipsDistance(%d, %d) = %d, countdown gives %d", ips, ipsInterval, got, want)
+			c := uint8(ips)
+			if got, want := ipsDistance(c, ipsInterval), refIPSDistance(uint32(c), ipsInterval); got != want {
+				t.Fatalf("ipsDistance(%d, %d) = %d, countdown gives %d", c, ipsInterval, got, want)
 			}
 		}
 

@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"twl/internal/pcm"
 	"twl/internal/rng"
@@ -115,22 +116,33 @@ type xorshiftAlpha struct{ *rng.Xorshift }
 
 func (x xorshiftAlpha) Alpha() float64 { return x.Float64() }
 
-// Engine is the TWL wear-leveling engine (Figure 5).
+// Engine is the TWL wear-leveling engine (Figure 5). Every per-page
+// structure is stored at the width its data needs: the RT, the SWPT, the ET
+// and the repLA cache at uint32, the WCT at 7 bits in a byte and the
+// inter-pair swap counters at uint8 (the interval is at most 255). That is
+// 22 B/page of tables; at the paper's full geometry (8Mi pages) it lets a
+// bank's shard of the TWL stack stay cache-resident.
 type Engine struct {
 	dev *pcm.Device // snap: device state is checkpointed by the sim layer
 	cfg Config      // snap: construction input
 
-	rt   *tables.Remap     // RT: LA → PA
-	swpt *tables.PairTable // snap: static pairing derived from ET at New. SWPT over *physical* pages (pairs are an
-	// endurance property, so they are static; the logical partner of an LA
-	// is derived through RT, which is what the hardware SWPT caches)
-	et       []uint64        // snap: derived from endurance map + seed at New. ET as the engine sees it (true or noisy)
-	wct      *tables.Counter // per-pair toss-up countdown (7-bit)
-	pairIdx  []int           // snap: derived from SWPT at New. physical page → pair representative (min member)
-	repLA    []int           // snap: rebuilt from RT and pairIdx on Restore. logical page → pair representative (pairIdx[rt.Phys(la)])
-	ipsCount []uint32        // per-LA writes since last inter-pair swap
-	src      alphaSource
-	stats    wl.Stats
+	rt *tables.Remap // RT: LA → PA
+	// SWPT over *physical* pages (pairs are an endurance property, so they
+	// are static; the logical partner of an LA is derived through RT, which
+	// is what the hardware SWPT caches).
+	swpt *tables.PairTable // snap: static pairing derived from ET at New
+	et   []uint32          // snap: derived from endurance map + seed at New. ET as the engine sees it (true or noisy)
+	wct  *tables.Counter   // per-pair toss-up countdown (7-bit), indexed by pair representative
+	// repLA caches the pair representative (the smaller pair member) of
+	// la's physical page, so the sweep fast path loads one table, not a
+	// three-deep pointer chase. A toss-up swap exchanges la with the
+	// logical owner of its *pair partner* — both sides of the same pair,
+	// same representative — so only the inter-pair swap moves a logical
+	// page across pairs and has to maintain this cache.
+	repLA []uint32 // snap: rebuilt from RT and the pair table on Restore
+	ips   []uint8  // per-LA writes since last inter-pair swap (interval ≤ 255)
+	src   alphaSource
+	stats wl.Stats
 
 	scratch []int // snap: scratch buffer; physical-address batch for WriteSweep
 }
@@ -139,8 +151,15 @@ var _ wl.Scheme = (*Engine)(nil)
 var _ wl.Checker = (*Engine)(nil)
 var _ wl.RunWriter = (*Engine)(nil)
 var _ wl.SweepWriter = (*Engine)(nil)
+var _ wl.MemoryReporter = (*Engine)(nil)
 
-// New builds a TWL engine over dev.
+// MaxIPSInterval is the largest inter-pair swap interval the engine's uint8
+// counters can express (the evaluation uses 128).
+const MaxIPSInterval = math.MaxUint8
+
+// New builds a TWL engine over dev. InterPairSwapInterval must be at most
+// MaxIPSInterval, and every ET entry after optional measurement noise must
+// fit in uint32; both fail with ErrBadConfig.
 func New(dev *pcm.Device, cfg Config) (*Engine, error) {
 	if dev.Pages()%2 != 0 {
 		return nil, fmt.Errorf("core: TWL needs an even page count to form pairs: %w", wl.ErrBadConfig)
@@ -149,71 +168,69 @@ func New(dev *pcm.Device, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: TossUpInterval %d outside [1,%d]: %w",
 			cfg.TossUpInterval, tables.MaxInterval, wl.ErrBadConfig)
 	}
-	if cfg.InterPairSwapInterval < 0 {
-		return nil, fmt.Errorf("core: InterPairSwapInterval must be >= 0: %w", wl.ErrBadConfig)
+	if cfg.InterPairSwapInterval < 0 || cfg.InterPairSwapInterval > MaxIPSInterval {
+		return nil, fmt.Errorf("core: InterPairSwapInterval %d outside [0,%d]: %w",
+			cfg.InterPairSwapInterval, MaxIPSInterval, wl.ErrBadConfig)
 	}
 	if cfg.ETNoiseSigma < 0 {
 		return nil, fmt.Errorf("core: ETNoiseSigma must be >= 0: %w", wl.ErrBadConfig)
 	}
+	et, err := buildET(dev, cfg)
+	if err != nil {
+		return nil, err
+	}
+	swpt, err := buildPairs(et, cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		dev:      dev,
-		cfg:      cfg,
-		rt:       tables.NewRemap(dev.Pages()),
-		et:       buildET(dev, cfg),
-		wct:      tables.NewCounter(dev.Pages()),
-		pairIdx:  make([]int, dev.Pages()),
-		ipsCount: make([]uint32, dev.Pages()),
+		dev:   dev,
+		cfg:   cfg,
+		rt:    tables.NewRemap(dev.Pages()),
+		swpt:  swpt,
+		et:    et,
+		wct:   tables.NewCounter(dev.Pages()),
+		repLA: make([]uint32, dev.Pages()),
+		ips:   make([]uint8, dev.Pages()),
 	}
 	if cfg.UseFeistel {
 		e.src = rng.NewFeistel(cfg.Seed)
 	} else {
 		e.src = xorshiftAlpha{rng.NewXorshift(cfg.Seed)}
 	}
-	var err error
-	e.swpt, err = buildPairs(e.et, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for pa := 0; pa < dev.Pages(); pa++ {
-		rep := pa
-		if q := e.swpt.Partner(pa); q < rep {
-			rep = q
-		}
-		e.pairIdx[pa] = rep
-	}
-	// repLA caches pairIdx[rt.Phys(la)] so the sweep fast path loads one
-	// table, not a three-deep pointer chase. A toss-up swap exchanges la
-	// with the logical owner of its *pair partner* — both sides of the same
-	// pair, same representative — so only the inter-pair swap moves a
-	// logical page across pairs and has to maintain this cache.
-	e.repLA = make([]int, dev.Pages())
-	for la := range e.repLA {
-		e.repLA[la] = e.pairIdx[e.rt.Phys(la)]
-	}
+	e.rebuildRepLA()
 	return e, nil
 }
 
 // buildET returns the endurance table the engine consults: the device's
 // true map, optionally perturbed by measurement noise.
-func buildET(dev *pcm.Device, cfg Config) []uint64 {
-	et := make([]uint64, dev.Pages())
-	copy(et, dev.EnduranceMap())
+func buildET(dev *pcm.Device, cfg Config) ([]uint32, error) {
+	end := dev.EnduranceMap()
+	et := make([]uint32, len(end))
+	var g *rng.Gaussian
 	if cfg.ETNoiseSigma > 0 {
-		g := rng.NewGaussian(rng.NewXorshift(cfg.Seed ^ 0xE7E7E7E7))
-		for i, e := range et {
-			v := g.Sample(float64(e), cfg.ETNoiseSigma*float64(e))
-			if v < 1 {
-				v = 1
-			}
-			et[i] = uint64(v)
-		}
+		g = rng.NewGaussian(rng.NewXorshift(cfg.Seed ^ 0xE7E7E7E7))
 	}
-	return et
+	for i, e := range end {
+		if g == nil {
+			et[i] = uint32(e) // pcm caps endurance at 2^31
+			continue
+		}
+		v := g.Sample(float64(e), cfg.ETNoiseSigma*float64(e))
+		if v < 1 {
+			v = 1
+		}
+		if v >= 1<<32 {
+			return nil, fmt.Errorf("core: noisy ET[%d] = %g exceeds uint32: %w", i, v, wl.ErrBadConfig)
+		}
+		et[i] = uint32(v)
+	}
+	return et, nil
 }
 
 // buildPairs forms the toss-up pairs under the configured policy, using the
 // engine's (possibly noisy) endurance table.
-func buildPairs(et []uint64, cfg Config) (*tables.PairTable, error) {
+func buildPairs(et []uint32, cfg Config) (*tables.PairTable, error) {
 	n := len(et)
 	pt, err := tables.NewPairTable(n)
 	if err != nil {
@@ -254,6 +271,22 @@ func buildPairs(et []uint64, cfg Config) (*tables.PairTable, error) {
 	return pt, nil
 }
 
+// pairRep returns the pair representative (smaller member) of physical page
+// pa, the WCT index of its pair.
+func (e *Engine) pairRep(pa int) int {
+	if q := e.swpt.Partner(pa); q < pa {
+		return q
+	}
+	return pa
+}
+
+// rebuildRepLA derives the repLA cache from the RT and the pair table.
+func (e *Engine) rebuildRepLA() {
+	for la := range e.repLA {
+		e.repLA[la] = uint32(e.pairRep(e.rt.Phys(la)))
+	}
+}
+
 // Name implements wl.Scheme.
 func (e *Engine) Name() string { return "TWL_" + e.cfg.Pairing.String() }
 
@@ -266,27 +299,35 @@ func (e *Engine) Write(la int, tag uint64) wl.Cost {
 
 	// Inter-pair swap: every InterPairSwapInterval writes to this logical
 	// page, exchange it with a random logical page before serving the write.
+	// The compare runs in int: a live counter stays below the (≤ 255)
+	// interval, but a restored out-of-band state must fire rather than
+	// wrap at the uint8 boundary.
 	if e.cfg.InterPairSwapInterval > 0 {
-		e.ipsCount[la]++
-		if e.ipsCount[la] >= uint32(e.cfg.InterPairSwapInterval) {
-			e.ipsCount[la] = 0
+		c := int(e.ips[la]) + 1
+		if c >= e.cfg.InterPairSwapInterval {
+			e.ips[la] = 0
 			cost.Add(e.interPairSwap(la, tag))
 			return cost
 		}
+		e.ips[la] = uint8(c)
 	}
 
 	pa := e.rt.Phys(la)
 	pp := e.swpt.Partner(pa)
+	rep := pa
+	if pp < rep {
+		rep = pp
+	}
 
 	// WCT countdown: the toss-up only runs at the interval. A wrap to zero
 	// is the 128th increment (see tables.Counter), which covers the
 	// interval == tables.MaxInterval case in 7 bits.
-	if v := e.wct.Inc(e.pairIdx[pa]); v != 0 && int(v) < e.cfg.TossUpInterval {
+	if v := e.wct.Inc(rep); v != 0 && int(v) < e.cfg.TossUpInterval {
 		e.dev.Write(pa, tag)
 		cost.DeviceWrites++
 		return cost
 	}
-	e.wct.Clear(e.pairIdx[pa])
+	e.wct.Clear(rep)
 
 	// Toss-up (Figure 4b): ET lookups for both endurances, RNG draw,
 	// compare α against E_A/(E_A+E_B).
@@ -341,8 +382,8 @@ func tossUpDistance(v uint8, interval int) int {
 // inter-pair swap, given its current counter c: the swap fires on the write
 // that lifts the counter to the interval. As with tossUpDistance, counters
 // at or past the interval (fuzz-only states) fire immediately.
-func ipsDistance(c uint32, interval int) int {
-	if int64(c) >= int64(interval) {
+func ipsDistance(c uint8, interval int) int {
+	if int(c) >= interval {
 		return 1
 	}
 	return interval - int(c)
@@ -357,11 +398,11 @@ func ipsDistance(c uint32, interval int) int {
 func (e *Engine) runHorizon(la, pa, n int) int {
 	k := n
 	if e.cfg.InterPairSwapInterval > 0 {
-		if d := ipsDistance(e.ipsCount[la], e.cfg.InterPairSwapInterval) - 1; d < k {
+		if d := ipsDistance(e.ips[la], e.cfg.InterPairSwapInterval) - 1; d < k {
 			k = d
 		}
 	}
-	if d := tossUpDistance(e.wct.Get(e.pairIdx[pa]), e.cfg.TossUpInterval) - 1; d < k {
+	if d := tossUpDistance(e.wct.Get(e.pairRep(pa)), e.cfg.TossUpInterval) - 1; d < k {
 		k = d
 	}
 	return k
@@ -386,9 +427,11 @@ func (e *Engine) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
 	applied := e.dev.WriteN(pa, tag, k)
 	e.stats.DemandWrites += uint64(applied)
 	if e.cfg.InterPairSwapInterval > 0 {
-		e.ipsCount[la] += uint32(applied)
+		// The horizon stops strictly before the next inter-pair swap, so the
+		// advanced counter stays below the (≤ 255) interval and fits uint8.
+		e.ips[la] += uint8(applied)
 	}
-	e.wct.Add(e.pairIdx[pa], applied)
+	e.wct.Add(e.pairRep(pa), applied)
 	return wl.Cost{DeviceWrites: 1, ExtraCycles: wl.ControlCycles + 2*wl.TableCycles}, applied
 }
 
@@ -408,8 +451,8 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	phys := e.rt.PhysTable()[la : la+n]
 	wct := e.wct.Raw()
 	reps := e.repLA[la : la+n]
-	ips := e.ipsCount[la : la+n]
-	ipsI, tossI := uint32(e.cfg.InterPairSwapInterval), e.cfg.TossUpInterval
+	ips := e.ips[la : la+n]
+	ipsI, tossI := e.cfg.InterPairSwapInterval, e.cfg.TossUpInterval
 	// While every page keeps more than n writes of endurance, no write in
 	// this sweep can wear a page out and the per-write failure pre-check is
 	// skipped. Near end of life the walk checks Remaining before each write:
@@ -421,10 +464,11 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	safe := e.dev.MinRemainingAtLeast(uint64(n) + 1)
 	for i := range ips {
 		// The next write here fires the inter-pair swap when its counter is
-		// one short of the interval (c+1 >= interval ⇔ ipsDistance == 1; a
-		// live counter sits below the interval, so c+1 cannot overflow).
+		// one short of the interval (c+1 >= interval ⇔ ipsDistance == 1).
+		// The sum runs in int so a uint8 counter at 254 under interval 255
+		// cannot wrap.
 		c := ips[i]
-		if ipsI > 0 && c+1 >= ipsI {
+		if ipsI > 0 && int(c)+1 >= ipsI {
 			break
 		}
 		rep := reps[i]
@@ -441,7 +485,7 @@ func (e *Engine) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 		if ipsI > 0 {
 			ips[i] = c + 1
 		}
-		pa := phys[i]
+		pa := int(phys[i])
 		buf = append(buf, pa)
 		if !safe && e.dev.Remaining(pa) <= 1 {
 			break
@@ -507,13 +551,12 @@ func (e *Engine) PartnerOf(la int) int {
 	return e.rt.Log(e.swpt.Partner(e.rt.Phys(la)))
 }
 
-// TableBytes implements wl.MemoryReporter: the per-page metadata the wide
-// engine carries (53 B/page; the packed engine's 22 B/page is the
-// comparison point in the BENCH footprint report).
+// TableBytes implements wl.MemoryReporter: the engine's per-page metadata,
+// 22 B/page (RT 8, SWPT 4, ET 4, repLA 4, WCT 1, inter-pair counters 1)
+// plus the sweep scratch buffer.
 func (e *Engine) TableBytes() int64 {
-	return e.rt.Bytes() + e.swpt.Bytes() + int64(len(e.et))*8 + e.wct.Bytes() +
-		int64(len(e.pairIdx))*8 + int64(len(e.repLA))*8 + int64(len(e.ipsCount))*4 +
-		int64(len(e.scratch))*8
+	return e.rt.Bytes() + e.swpt.Bytes() + int64(len(e.et))*4 + e.wct.Bytes() +
+		int64(len(e.repLA))*4 + int64(len(e.ips)) + int64(len(e.scratch))*8
 }
 
 // CheckInvariants implements wl.Checker: RT bijection, SWPT involution
@@ -529,33 +572,23 @@ func (e *Engine) CheckInvariants() error {
 	}
 	pages := e.dev.Pages()
 	if e.rt.Len() != pages || e.swpt.Len() != pages || len(e.et) != pages ||
-		e.wct.Len() != pages || len(e.pairIdx) != pages || len(e.ipsCount) != pages ||
-		len(e.repLA) != pages {
-		return fmt.Errorf("core: table sizes RT=%d SWPT=%d ET=%d WCT=%d pairIdx=%d ips=%d repLA=%d do not all match %d pages",
-			e.rt.Len(), e.swpt.Len(), len(e.et), e.wct.Len(), len(e.pairIdx), len(e.ipsCount), len(e.repLA), pages)
+		e.wct.Len() != pages || len(e.ips) != pages || len(e.repLA) != pages {
+		return fmt.Errorf("core: table sizes RT=%d SWPT=%d ET=%d WCT=%d ips=%d repLA=%d do not all match %d pages",
+			e.rt.Len(), e.swpt.Len(), len(e.et), e.wct.Len(), len(e.ips), len(e.repLA), pages)
 	}
 	for la := 0; la < pages; la++ {
-		if e.repLA[la] != e.pairIdx[e.rt.Phys(la)] {
-			return fmt.Errorf("core: repLA[%d] = %d, want pairIdx[rt.Phys] = %d",
-				la, e.repLA[la], e.pairIdx[e.rt.Phys(la)])
+		if want := e.pairRep(e.rt.Phys(la)); int(e.repLA[la]) != want {
+			return fmt.Errorf("core: repLA[%d] = %d, want pair representative %d", la, e.repLA[la], want)
 		}
 	}
 	for pa := 0; pa < pages; pa++ {
 		if e.et[pa] == 0 {
 			return fmt.Errorf("core: ET[%d] is zero; the toss-up ratio would divide by zero", pa)
 		}
-		// pairIdx caches the pair representative: the smaller member.
-		rep := pa
-		if q := e.swpt.Partner(pa); q < rep {
-			rep = q
-		}
-		if e.pairIdx[pa] != rep {
-			return fmt.Errorf("core: pairIdx[%d] = %d, want representative %d", pa, e.pairIdx[pa], rep)
-		}
 		// The WCT is indexed by representative only: non-representative
 		// entries are never touched, and a live countdown is cleared before
 		// it reaches the interval.
-		if v := int(e.wct.Get(pa)); e.pairIdx[pa] != pa && v != 0 {
+		if v := int(e.wct.Get(pa)); e.pairRep(pa) != pa && v != 0 {
 			return fmt.Errorf("core: WCT[%d] = %d but %d is not a pair representative", pa, v, pa)
 		} else if v >= e.cfg.TossUpInterval && e.cfg.TossUpInterval < tables.MaxInterval {
 			return fmt.Errorf("core: WCT[%d] = %d reached the toss-up interval %d without being cleared",
@@ -563,8 +596,8 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	if e.cfg.InterPairSwapInterval > 0 {
-		for la, c := range e.ipsCount {
-			if c >= uint32(e.cfg.InterPairSwapInterval) {
+		for la, c := range e.ips {
+			if int(c) >= e.cfg.InterPairSwapInterval {
 				return fmt.Errorf("core: ipsCount[%d] = %d reached the inter-pair swap interval %d without resetting",
 					la, c, e.cfg.InterPairSwapInterval)
 			}
@@ -581,8 +614,10 @@ func (e *Engine) CheckInvariants() error {
 // Snapshot implements wl.Snapshotter: the RT, the WCT, the inter-pair swap
 // counters, the α-RNG stream position and the stats. The RNG is persisted
 // through its own Snapshotter implementation (Feistel or xorshift depending
-// on Config.UseFeistel); SWPT/ET/pairIdx are endurance-derived statics and
-// repLA is rebuilt from the restored RT.
+// on Config.UseFeistel); SWPT and ET are endurance-derived statics and
+// repLA is rebuilt from the restored RT. The uint8 inter-pair counters go
+// out as a length-prefixed uint32 stream, so the wire format does not
+// depend on their storage width.
 func (e *Engine) Snapshot(w io.Writer) error {
 	if err := e.rt.Snapshot(w); err != nil {
 		return err
@@ -591,7 +626,10 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		return err
 	}
 	sw := snap.NewWriter(w)
-	sw.U32s(e.ipsCount)
+	sw.U32(uint32(len(e.ips)))
+	for _, c := range e.ips {
+		sw.U32(uint32(c))
+	}
 	if err := sw.Err(); err != nil {
 		return err
 	}
@@ -614,7 +652,16 @@ func (e *Engine) Restore(r io.Reader) error {
 		return err
 	}
 	sr := snap.NewReader(r)
-	sr.U32sInto(e.ipsCount)
+	if got := sr.U32(); sr.Err() == nil && int(got) != len(e.ips) {
+		return fmt.Errorf("core: checkpoint ips length %d does not match %d pages", got, len(e.ips))
+	}
+	for la := range e.ips {
+		v := sr.U32()
+		if v > MaxIPSInterval {
+			return fmt.Errorf("core: checkpoint ipsCount[%d] = %d exceeds uint8", la, v)
+		}
+		e.ips[la] = uint8(v)
+	}
 	if err := sr.Err(); err != nil {
 		return err
 	}
@@ -628,9 +675,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := e.stats.Restore(r); err != nil {
 		return err
 	}
-	for la := range e.repLA {
-		e.repLA[la] = e.pairIdx[e.rt.Phys(la)]
-	}
+	e.rebuildRepLA()
 	return nil
 }
 
@@ -641,7 +686,7 @@ func init() {
 		Order:   40,
 		Doc:     "toss-up wear leveling, strong-weak pairing (the paper's contribution)",
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return NewAuto(dev, DefaultConfig(seed))
+			return New(dev, DefaultConfig(seed))
 		},
 	})
 	wl.Register(wl.Registration{
@@ -651,7 +696,7 @@ func init() {
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
 			cfg := DefaultConfig(seed)
 			cfg.Pairing = Adjacent
-			return NewAuto(dev, cfg)
+			return New(dev, cfg)
 		},
 	})
 	wl.Register(wl.Registration{
@@ -661,7 +706,7 @@ func init() {
 		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
 			cfg := DefaultConfig(seed)
 			cfg.Pairing = Random
-			return NewAuto(dev, cfg)
+			return New(dev, cfg)
 		},
 	})
 }

@@ -156,7 +156,7 @@ func TestRandomPairingIsValidMatching(t *testing.T) {
 func TestTossUpProbability(t *testing.T) {
 	// Two pages with a 3:1 endurance ratio, toss-up every write, no
 	// inter-pair swaps.
-	end := []uint64{3 << 40, 1 << 40}
+	end := []uint64{3 << 29, 1 << 29}
 	dev := newFixedDevice(t, end)
 	cfg := Config{
 		Pairing:               Adjacent,
@@ -189,7 +189,7 @@ func TestTossUpProbability(t *testing.T) {
 // TestSwapProbabilityModel verifies the Section 4.2 model: with EA ≈ EB and
 // toss-up every write, the swap probability approaches 1/2 (Case 1).
 func TestSwapProbabilityModel(t *testing.T) {
-	end := []uint64{1 << 40, 1 << 40}
+	end := []uint64{1 << 29, 1 << 29}
 	dev := newFixedDevice(t, end)
 	cfg := Config{Pairing: Adjacent, TossUpInterval: 1, Seed: 5, UseFeistel: true}
 	e, err := New(dev, cfg)
@@ -210,7 +210,7 @@ func TestSwapProbabilityModel(t *testing.T) {
 // page's logical owner produce almost no swaps once the data settles
 // (Case 2 of the model).
 func TestSwapProbabilityCase2(t *testing.T) {
-	end := []uint64{1000 << 30, 1 << 30}
+	end := []uint64{1000 << 21, 1 << 21}
 	dev := newFixedDevice(t, end)
 	cfg := Config{Pairing: Adjacent, TossUpInterval: 1, Seed: 5, UseFeistel: true}
 	e, err := New(dev, cfg)
@@ -231,7 +231,7 @@ func TestSwapProbabilityCase2(t *testing.T) {
 // proportion to the toss-up interval (Figure 7a).
 func TestIntervalReducesSwaps(t *testing.T) {
 	ratioAt := func(interval int) float64 {
-		dev := newDevice(t, 256, 1e18, 9)
+		dev := newDevice(t, 256, 1e9, 9)
 		cfg := Config{Pairing: StrongWeak, TossUpInterval: interval, Seed: 13, UseFeistel: true}
 		e, err := New(dev, cfg)
 		if err != nil {
@@ -267,7 +267,7 @@ func TestStrongWeakReducesSwapsVsAdjacent(t *testing.T) {
 	run := func(p Pairing) float64 {
 		// Wide endurance spread sharpens the separation the model predicts.
 		end, err := pv.Generate(pv.Config{
-			Pages: pages, Mean: 1e18, Sigma: 0.25e18, Model: pv.Gaussian, Seed: 21,
+			Pages: pages, Mean: 1e9, Sigma: 0.25e9, Model: pv.Gaussian, Seed: 21,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +298,7 @@ func TestStrongWeakReducesSwapsVsAdjacent(t *testing.T) {
 // TestDataIntegrityUnderSwaps: reading a logical page always returns the
 // last value written to it, across toss-up swaps and inter-pair swaps.
 func TestDataIntegrityUnderSwaps(t *testing.T) {
-	dev := newDevice(t, 64, 1e18, 31)
+	dev := newDevice(t, 64, 1e9, 31)
 	cfg := Config{
 		Pairing: StrongWeak, TossUpInterval: 2, InterPairSwapInterval: 16,
 		Seed: 41, UseFeistel: true,
@@ -335,7 +335,7 @@ func TestDataIntegrityUnderSwaps(t *testing.T) {
 // engine invariants (RT bijection, SWPT involution, wear conservation).
 func TestInvariantsProperty(t *testing.T) {
 	check := func(seed uint64, ops uint16) bool {
-		dev := newDevice(t, 32, 1e18, seed)
+		dev := newDevice(t, 32, 1e9, seed)
 		cfg := Config{
 			Pairing: StrongWeak, TossUpInterval: 4, InterPairSwapInterval: 8,
 			Seed: seed, UseFeistel: seed%2 == 0,
@@ -362,7 +362,7 @@ func TestInvariantsProperty(t *testing.T) {
 // TestSwapCostIsTwoWrites: a toss-up swap costs exactly 2 device writes
 // (the Section 4.1 optimization reducing swap-then-write from 3 to 2).
 func TestSwapCostIsTwoWrites(t *testing.T) {
-	end := []uint64{1 << 40, 1 << 40}
+	end := []uint64{1 << 29, 1 << 29}
 	dev := newFixedDevice(t, end)
 	cfg := Config{Pairing: Adjacent, TossUpInterval: 1, Seed: 3, UseFeistel: true}
 	e, err := New(dev, cfg)
@@ -395,7 +395,7 @@ func TestSwapCostIsTwoWrites(t *testing.T) {
 // the inter-pair swap fires exactly every InterPairSwapInterval writes to a
 // page.
 func TestInterPairSwapTriggersAtInterval(t *testing.T) {
-	dev := newDevice(t, 64, 1e18, 7)
+	dev := newDevice(t, 64, 1e9, 7)
 	cfg := Config{
 		// Interval 128 with only 100 writes per burst: toss-up never fires
 		// within the test run for the single pair counter... use a big
@@ -423,7 +423,7 @@ func TestInterPairSwapTriggersAtInterval(t *testing.T) {
 }
 
 func TestInterPairSwapDisabled(t *testing.T) {
-	dev := newDevice(t, 64, 1e18, 7)
+	dev := newDevice(t, 64, 1e9, 7)
 	cfg := Config{Pairing: StrongWeak, TossUpInterval: 128, InterPairSwapInterval: 0, Seed: 2, UseFeistel: true}
 	e, err := New(dev, cfg)
 	if err != nil {
@@ -473,7 +473,7 @@ func TestWeakPageProtected(t *testing.T) {
 }
 
 func TestReadCost(t *testing.T) {
-	dev := newDevice(t, 64, 1e18, 3)
+	dev := newDevice(t, 64, 1e9, 3)
 	e, err := New(dev, DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +492,7 @@ func TestReadCost(t *testing.T) {
 }
 
 func TestPartnerOfTracksRemap(t *testing.T) {
-	dev := newDevice(t, 16, 1e18, 5)
+	dev := newDevice(t, 16, 1e9, 5)
 	cfg := Config{Pairing: Adjacent, TossUpInterval: 1, Seed: 1, UseFeistel: true}
 	e, err := New(dev, cfg)
 	if err != nil {
@@ -519,7 +519,7 @@ func TestPartnerOfTracksRemap(t *testing.T) {
 // TestXorshiftRNGVariant: the engine also runs on the xorshift source
 // (ablation) with the same statistical behavior.
 func TestXorshiftRNGVariant(t *testing.T) {
-	end := []uint64{3 << 40, 1 << 40}
+	end := []uint64{3 << 29, 1 << 29}
 	dev := newFixedDevice(t, end)
 	cfg := Config{Pairing: Adjacent, TossUpInterval: 1, Seed: 11, UseFeistel: false}
 	e, err := New(dev, cfg)
@@ -547,7 +547,7 @@ func TestPairingString(t *testing.T) {
 }
 
 func BenchmarkTWLWrite(b *testing.B) {
-	dev := newDevice(b, 1<<12, 1e18, 1)
+	dev := newDevice(b, 1<<12, 1e9, 1)
 	e, err := New(dev, DefaultConfig(1))
 	if err != nil {
 		b.Fatal(err)
@@ -585,23 +585,23 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}{
 		{"zero endurance entry", func(e *Engine) { e.et[3] = 0 }},
 		{"ET size mismatch", func(e *Engine) { e.et = e.et[:len(e.et)-1] }},
-		{"wrong pair representative", func(e *Engine) { e.pairIdx[0] = e.dev.Pages() - 1 }},
+		{"wrong pair representative", func(e *Engine) { e.repLA[0] ^= 1 }},
 		{"WCT on non-representative", func(e *Engine) {
-			for pa := range e.pairIdx {
-				if e.pairIdx[pa] != pa {
+			for pa := 0; pa < e.dev.Pages(); pa++ {
+				if e.pairRep(pa) != pa {
 					e.wct.Inc(pa)
 					return
 				}
 			}
 		}},
 		{"WCT past interval", func(e *Engine) {
-			rep := e.pairIdx[0]
+			rep := e.pairRep(0)
 			e.wct.Clear(rep)
 			for i := 0; i < e.cfg.TossUpInterval; i++ {
 				e.wct.Inc(rep)
 			}
 		}},
-		{"ips counter past interval", func(e *Engine) { e.ipsCount[1] = uint32(e.cfg.InterPairSwapInterval) }},
+		{"ips counter past interval", func(e *Engine) { e.ips[1] = uint8(e.cfg.InterPairSwapInterval) }},
 		{"stats desynced from device", func(e *Engine) { e.stats.SwapWrites++ }},
 	}
 	for _, tc := range cases {

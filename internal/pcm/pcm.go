@@ -17,6 +17,7 @@ package pcm
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Geometry describes the array organization. Only Pages and PageSize affect
@@ -110,28 +111,28 @@ func DefaultTiming() Timing {
 	return Timing{ReadCycles: 250, SetCycles: 2000, ResetCycles: 250, ClockHz: 2e9}
 }
 
-// Device is a PCM array with per-page wear tracking.
+// MaxEndurance is the largest per-page endurance a device accepts (2^31).
+// Wear and endurance are stored as uint32, and the cap leaves a full 2^31
+// of wear headroom past the endurance boundary. The paper's mean endurance
+// is 10^8 ≈ 2^26.6, so real maps fit with room to spare.
+const MaxEndurance = 1 << 31
+
+// MaxPages is the largest physical page count (visible plus spare) a device
+// accepts: page addresses must fit in the uint32 tables schemes keep
+// (internal/tables).
+const MaxPages = 1 << 32
+
+// Device is a PCM array with per-page wear tracking. Endurance and wear are
+// stored as uint32, so the device costs 16 B/page (4 wear, 4 endurance, 8
+// payload): at the paper's full geometry (8Mi pages) that is 128 MiB, and
+// twice as many wear counters fit per cache line on the bulk write paths as
+// with 64-bit counters.
 type Device struct {
 	geom      Geometry // snap: construction input
 	timing    Timing   // snap: construction input
-	endurance []uint64 // snap: construction input
-	// invEndurance caches 1/endurance per page so wear-fraction snapshots
-	// (Summary, WearHistogram) multiply instead of dividing in their per-page
-	// loops.
-	invEndurance []float64 // snap: derived from endurance at NewDevice
-	wear         []uint64
-	payload      []uint64
-
-	// Packed storage mode (NewPackedDevice): end32/wear32 hold the endurance
-	// map and wear counters as uint32 and endurance/invEndurance/wear stay
-	// nil, halving the per-page device state (16 B/page vs 32 B/page). Every
-	// method that touches wear or endurance branches once on wear32 != nil
-	// into a u32 twin (packed.go); payload and all failure/retirement state
-	// are width-independent and shared. The two modes are bit-identical in
-	// behavior and in snapshot wire format — see packed.go for the width
-	// constraints that make that hold.
-	end32  []uint32 // snap: construction input (width twin of endurance)
-	wear32 []uint32
+	endurance []uint32 // snap: construction input
+	wear      []uint32
+	payload   []uint64
 
 	writes uint64 // total page writes applied (demand + swap alike)
 	reads  uint64
@@ -167,33 +168,32 @@ type Device struct {
 
 // NewDevice builds a device with the given geometry and per-page endurance
 // map. len(endurance) must equal geom.TotalPages() — visible pages first,
-// then spares.
+// then spares — which may not exceed MaxPages, and every endurance value
+// must lie in [1, MaxEndurance].
 func NewDevice(geom Geometry, timing Timing, endurance []uint64) (*Device, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
+	}
+	if uint64(geom.TotalPages()) > MaxPages {
+		return nil, fmt.Errorf("pcm: %d pages exceed the limit of %d", geom.TotalPages(), uint64(MaxPages))
 	}
 	if len(endurance) != geom.TotalPages() {
 		return nil, fmt.Errorf("pcm: endurance map has %d entries, geometry has %d pages (%d visible + %d spare)",
 			len(endurance), geom.TotalPages(), geom.Pages, geom.SparePages)
 	}
+	end := make([]uint32, len(endurance))
 	for i, e := range endurance {
-		if e == 0 {
-			return nil, fmt.Errorf("pcm: page %d has zero endurance", i)
+		if e == 0 || e > MaxEndurance {
+			return nil, fmt.Errorf("pcm: page %d endurance %d outside [1,%d]", i, e, uint64(MaxEndurance))
 		}
-	}
-	end := make([]uint64, len(endurance))
-	copy(end, endurance)
-	inv := make([]float64, len(end))
-	for i, e := range end {
-		inv[i] = 1 / float64(e)
+		end[i] = uint32(e)
 	}
 	return &Device{
-		geom:         geom,
-		timing:       timing,
-		endurance:    end,
-		invEndurance: inv,
-		wear:         make([]uint64, geom.TotalPages()),
-		payload:      make([]uint64, geom.TotalPages()),
+		geom:      geom,
+		timing:    timing,
+		endurance: end,
+		wear:      make([]uint32, geom.TotalPages()),
+		payload:   make([]uint64, geom.TotalPages()),
 	}, nil
 }
 
@@ -227,12 +227,7 @@ func (d *Device) resolve(pp int) int {
 
 // Endurance returns the endurance limit of physical cell pp (raw: a retired
 // page reports its own dead cell, not its spare's).
-func (d *Device) Endurance(pp int) uint64 {
-	if d.wear32 != nil {
-		return uint64(d.end32[pp])
-	}
-	return d.endurance[pp]
-}
+func (d *Device) Endurance(pp int) uint64 { return uint64(d.endurance[pp]) }
 
 // EnduranceMap returns a copy of the visible pages' endurance map, matching
 // WriteCounts.Counts: schemes derive their pairing and ordering tables from
@@ -240,25 +235,16 @@ func (d *Device) Endurance(pp int) uint64 {
 // device's ground truth. The spare region is excluded.
 func (d *Device) EnduranceMap() []uint64 {
 	out := make([]uint64, d.geom.Pages)
-	if d.wear32 != nil {
-		for i, e := range d.end32[:d.geom.Pages] {
-			out[i] = uint64(e)
-		}
-		return out
+	for i, e := range d.endurance[:d.geom.Pages] {
+		out[i] = uint64(e)
 	}
-	copy(out, d.endurance[:d.geom.Pages])
 	return out
 }
 
 // Wear returns the accumulated write count of physical cell pp (raw, like
 // Endurance, so wear heatmaps show the array's true state — a retired
 // page's cell stays pegged at its endurance).
-func (d *Device) Wear(pp int) uint64 {
-	if d.wear32 != nil {
-		return uint64(d.wear32[pp])
-	}
-	return d.wear[pp]
-}
+func (d *Device) Wear(pp int) uint64 { return uint64(d.wear[pp]) }
 
 // Remaining returns how many more writes page pp can absorb before failing.
 // Unlike Wear/Endurance it follows redirects: writes to a retired page land
@@ -266,16 +252,10 @@ func (d *Device) Wear(pp int) uint64 {
 // policy and horizon decisions.
 func (d *Device) Remaining(pp int) uint64 {
 	pp = d.resolve(pp)
-	if d.wear32 != nil {
-		if d.wear32[pp] >= d.end32[pp] {
-			return 0
-		}
-		return uint64(d.end32[pp] - d.wear32[pp])
-	}
 	if d.wear[pp] >= d.endurance[pp] {
 		return 0
 	}
-	return d.endurance[pp] - d.wear[pp]
+	return uint64(d.endurance[pp] - d.wear[pp])
 }
 
 // MinRemainingAtLeast reports whether every page can still absorb at least
@@ -312,9 +292,6 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 			return false
 		}
 	}
-	if d.wear32 != nil {
-		return d.minRemainingAtLeast32(n)
-	}
 	min := ^uint64(0)
 	visible := d.geom.Pages
 	for pp, w := range d.wear {
@@ -331,7 +308,7 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 		}
 		var r uint64
 		if w < d.endurance[pp] {
-			r = d.endurance[pp] - w
+			r = uint64(d.endurance[pp] - w)
 		}
 		if r < min {
 			min = r
@@ -348,9 +325,6 @@ func (d *Device) MinRemainingAtLeast(n uint64) bool {
 // cell out (wear reached endurance). Writes to an already-failed page keep
 // counting wear; the simulator decides when to stop.
 func (d *Device) Write(pp int, tag uint64) bool {
-	if d.wear32 != nil {
-		return d.write32(pp, tag)
-	}
 	pp = d.resolve(pp)
 	d.wear[pp]++
 	d.payload[pp] = tag
@@ -371,31 +345,43 @@ func (d *Device) Write(pp int, tag uint64) bool {
 // at (and including) the write that wears it out, marks the failure, and
 // returns the reduced count; the caller sees applied < n and must not count
 // the unapplied remainder. Writes to an already-failed page keep counting
-// wear, matching Write.
+// wear, matching Write, up to the uint32 wear ceiling: past it they are not
+// applied, so wear, the payload and TotalWrites stay consistent.
 //
 //twl:hotpath
 func (d *Device) WriteN(pp int, tag uint64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if d.wear32 != nil {
-		return d.writeN32(pp, tag, n)
-	}
 	pp = d.resolve(pp)
-	applied := uint64(n)
-	w, e := d.wear[pp], d.endurance[pp]
-	// The boundary test compares against the page's remaining headroom
-	// (e-w, well-defined when w < e) rather than forming w+applied, which
-	// can wrap uint64 near the endurance ceiling and silently skip the clamp.
-	if w < e && applied >= e-w {
-		// Crosses the endurance boundary: stop at the failing write.
-		applied = e - w
-		d.failedLog = append(d.failedLog, pp)
+	applied, ok := d.clamp(pp, uint64(n))
+	if !ok {
+		return 0
 	}
-	d.wear[pp] = w + applied
+	d.wear[pp] += uint32(applied)
 	d.payload[pp] = tag + applied - 1
 	d.writes += applied
 	return int(applied)
+}
+
+// clamp bounds a bulk write of n to resolved page pp: at the endurance
+// boundary (logging the failure) while the page is live, at the uint32 wear
+// ceiling once it is dead. ok is false when nothing can be applied.
+func (d *Device) clamp(pp int, n uint64) (applied uint64, ok bool) {
+	w, e := d.wear[pp], d.endurance[pp]
+	if w < e {
+		// Comparing against the remaining headroom rather than forming w+n
+		// keeps the test exact for any n.
+		if n >= uint64(e-w) {
+			n = uint64(e - w)
+			d.failedLog = append(d.failedLog, pp)
+		}
+		return n, true
+	}
+	if h := uint64(math.MaxUint32 - w); n > h {
+		n = h
+	}
+	return n, n > 0
 }
 
 // RewriteN applies n writes to physical page pp that each rewrite the
@@ -404,25 +390,20 @@ func (d *Device) WriteN(pp int, tag uint64, n int) int {
 // changing the partner's data. Wear, the device write counter and failure
 // clamping behave exactly as WriteN: a mid-run endurance crossing stops the
 // count at (and including) the failing write, and writes to an
-// already-failed page keep counting. The payload is untouched, matching n
-// sequential Write(pp, Peek(pp)) calls.
+// already-failed page keep counting up to the wear ceiling. The payload is
+// untouched, matching n sequential Write(pp, Peek(pp)) calls.
 //
 //twl:hotpath
 func (d *Device) RewriteN(pp int, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if d.wear32 != nil {
-		return d.rewriteN32(pp, n)
-	}
 	pp = d.resolve(pp)
-	applied := uint64(n)
-	w, e := d.wear[pp], d.endurance[pp]
-	if w < e && applied >= e-w {
-		applied = e - w
-		d.failedLog = append(d.failedLog, pp)
+	applied, ok := d.clamp(pp, uint64(n))
+	if !ok {
+		return 0
 	}
-	d.wear[pp] = w + applied
+	d.wear[pp] += uint32(applied)
 	d.writes += applied
 	return int(applied)
 }
@@ -436,9 +417,6 @@ func (d *Device) RewriteN(pp int, n int) int {
 func (d *Device) WriteRange(pp0 int, tag uint64, n int) int {
 	if n <= 0 {
 		return 0
-	}
-	if d.wear32 != nil {
-		return d.writeRange32(pp0, tag, n)
 	}
 	if d.redirect != nil {
 		return d.writeRangeSlow(pp0, tag, n)
@@ -493,9 +471,6 @@ func (d *Device) writeRangeSlow(pp0 int, tag uint64, n int) int {
 //
 //twl:hotpath
 func (d *Device) WriteSeq(pps []int, tag uint64) int {
-	if d.wear32 != nil {
-		return d.writeSeq32(pps, tag)
-	}
 	wear := d.wear
 	end := d.endurance[:len(wear)]
 	pay := d.payload[:len(wear)]
@@ -623,24 +598,12 @@ func (d *Device) TotalReads() uint64 { return d.reads }
 
 // TotalEndurance returns the sum of all cells' endurance, spares included —
 // the number of page writes a perfect wear-leveler with perfect retirement
-// could absorb. The ideal-lifetime calculations use this. The sum saturates
-// at MaxUint64 instead of wrapping, so budget math derived from it (demand
-// caps, normalized lifetimes) degrades to a loose bound rather than a small
-// garbage value on adversarially large endurance maps.
+// could absorb. The ideal-lifetime calculations use this. It cannot
+// overflow: MaxPages cells of at most MaxEndurance sum to below 2^63.
 func (d *Device) TotalEndurance() uint64 {
 	var sum uint64
-	if d.wear32 != nil {
-		for _, e := range d.end32 {
-			sum += uint64(e)
-		}
-		return sum
-	}
 	for _, e := range d.endurance {
-		if next := sum + e; next >= sum {
-			sum = next
-		} else {
-			return ^uint64(0)
-		}
+		sum += uint64(e)
 	}
 	return sum
 }
@@ -659,20 +622,18 @@ type WearSummary struct {
 
 // Summary computes the current WearSummary.
 func (d *Device) Summary() WearSummary {
-	if d.wear32 != nil {
-		return d.summary32()
-	}
 	var s WearSummary
 	s.MaxWearPage = -1
 	s.MaxFractionPage = -1
 	var fracSum float64
-	for pp, w := range d.wear {
+	for pp, w32 := range d.wear {
+		w := uint64(w32)
 		s.TotalWear += w
 		if w > s.MaxWear {
 			s.MaxWear = w
 			s.MaxWearPage = pp
 		}
-		f := float64(w) * d.invEndurance[pp]
+		f := d.fraction(pp)
 		fracSum += f
 		if f > s.MaxFraction {
 			s.MaxFraction = f
@@ -685,19 +646,22 @@ func (d *Device) Summary() WearSummary {
 	return s
 }
 
+// fraction returns page pp's wear/endurance ratio as wear times the
+// reciprocal of endurance rather than a division: the two can differ in the
+// last bit, and recorded reports must not move.
+func (d *Device) fraction(pp int) float64 {
+	return float64(d.wear[pp]) * (1 / float64(d.endurance[pp]))
+}
+
 // WearHistogram bins wear/endurance fractions into the given number of
 // buckets over [0, 1]; fractions above 1 land in the last bucket.
 func (d *Device) WearHistogram(buckets int) []int {
 	if buckets <= 0 {
 		return nil
 	}
-	if d.wear32 != nil {
-		return d.wearHistogram32(buckets)
-	}
 	h := make([]int, buckets)
-	for pp, w := range d.wear {
-		f := float64(w) * d.invEndurance[pp]
-		b := int(f * float64(buckets))
+	for pp := range d.wear {
+		b := int(d.fraction(pp) * float64(buckets))
 		if b >= buckets {
 			b = buckets - 1
 		}
@@ -712,9 +676,6 @@ func (d *Device) Reset() {
 	for i := range d.wear {
 		d.wear[i] = 0
 	}
-	for i := range d.wear32 {
-		d.wear32[i] = 0
-	}
 	for i := range d.payload {
 		d.payload[i] = 0
 	}
@@ -727,4 +688,40 @@ func (d *Device) Reset() {
 	d.slack = 0
 	d.slackAt = 0
 	d.slackValid = false
+}
+
+// Footprint itemizes the device's per-page state arrays in bytes — the
+// layout audit behind the bytes-per-page accounting in BENCH reports.
+// Redirect is zero until the first retirement materializes the table.
+type Footprint struct {
+	Wear      int64 `json:"wear"`
+	Endurance int64 `json:"endurance"`
+	Payload   int64 `json:"payload"`
+	Redirect  int64 `json:"redirect"`
+}
+
+// Total sums the itemized bytes.
+func (f Footprint) Total() int64 {
+	return f.Wear + f.Endurance + f.Payload + f.Redirect
+}
+
+// PerPage returns Total divided by the page count.
+func (f Footprint) PerPage(pages int) float64 {
+	if pages <= 0 {
+		return 0
+	}
+	return float64(f.Total()) / float64(pages)
+}
+
+// Footprint reports the device's current per-page memory layout.
+func (d *Device) Footprint() Footprint {
+	f := Footprint{
+		Wear:      int64(len(d.wear)) * 4,
+		Endurance: int64(len(d.endurance)) * 4,
+		Payload:   int64(len(d.payload)) * 8,
+	}
+	if d.redirect != nil {
+		f.Redirect = int64(len(d.redirect))*8 + int64(len(d.isTarget))
+	}
+	return f
 }

@@ -1,6 +1,8 @@
 package pcm
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,7 +161,7 @@ func TestWearAccounting(t *testing.T) {
 // of Write calls, for arbitrary write sequences.
 func TestWearConservationProperty(t *testing.T) {
 	check := func(addrs []uint8) bool {
-		d := testDevice(t, 256, 1<<40)
+		d := testDevice(t, 256, 1<<30)
 		for _, a := range addrs {
 			d.Write(int(a), uint64(a))
 		}
@@ -308,7 +310,7 @@ func BenchmarkDeviceWrite(b *testing.B) {
 	geom := Geometry{Pages: 1 << 14, PageSize: 4096, LineSize: 128, Ranks: 4, Banks: 32}
 	end := make([]uint64, geom.Pages)
 	for i := range end {
-		end[i] = 1 << 62
+		end[i] = MaxEndurance
 	}
 	d, err := NewDevice(geom, DefaultTiming(), end)
 	if err != nil {
@@ -317,5 +319,193 @@ func BenchmarkDeviceWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Write(i&(1<<14-1), uint64(i))
+	}
+}
+
+// TestEnduranceLimit pins the constructor's width gates: endurance in
+// [1, MaxEndurance] and at most MaxPages physical pages.
+func TestEnduranceLimit(t *testing.T) {
+	geom := Geometry{Pages: 2, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1}
+	if _, err := NewDevice(geom, DefaultTiming(), []uint64{1, MaxEndurance + 1}); err == nil {
+		t.Fatal("NewDevice accepted endurance above MaxEndurance")
+	}
+	if _, err := NewDevice(geom, DefaultTiming(), []uint64{1, MaxEndurance}); err != nil {
+		t.Fatalf("NewDevice rejected endurance at MaxEndurance: %v", err)
+	}
+	if _, err := NewDevice(geom, DefaultTiming(), []uint64{0, 1}); err == nil {
+		t.Fatal("NewDevice accepted zero endurance")
+	}
+	geom.Pages = MaxPages
+	geom.SparePages = 1
+	if _, err := NewDevice(geom, DefaultTiming(), nil); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("NewDevice over MaxPages: err = %v, want the page limit", err)
+	}
+}
+
+// TestEnduranceMapCopies is the mutation-safety regression test: the map a
+// caller receives must be a copy, so sorting or zeroing it cannot corrupt
+// the device's ground truth (this was an aliasing bug — schemes sort their
+// "copy" of the endurance map during construction).
+func TestEnduranceMapCopies(t *testing.T) {
+	geom := Geometry{Pages: 8, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1, SparePages: 2}
+	end := make([]uint64, geom.TotalPages())
+	for i := range end {
+		end[i] = 100 + uint64(i)
+	}
+	d, err := NewDevice(geom, DefaultTiming(), end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.EnduranceMap()
+	if len(m) != 8 {
+		t.Fatalf("EnduranceMap covers %d pages, want visible 8", len(m))
+	}
+	for i := range m {
+		m[i] = 1
+	}
+	if d.Endurance(3) != 103 {
+		t.Fatalf("mutating the returned map changed device endurance to %d", d.Endurance(3))
+	}
+	if got := d.EnduranceMap()[3]; got != 103 {
+		t.Fatalf("second EnduranceMap call sees %d, want 103", got)
+	}
+}
+
+// TestFootprintAccounting pins the bytes-per-page layout audit: 16 B/page
+// (uint32 wear and endurance, uint64 payload) until a retirement
+// materializes the redirect table.
+func TestFootprintAccounting(t *testing.T) {
+	geom := Geometry{Pages: 100, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1, SparePages: 4}
+	end := make([]uint64, geom.TotalPages())
+	for i := range end {
+		end[i] = 1000
+	}
+	d, err := NewDevice(geom, DefaultTiming(), end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := d.Footprint(); f.Total() != 104*16 || f.PerPage(104) != 16 {
+		t.Fatalf("footprint %+v, want 16 B/page over 104 pages", f)
+	}
+	for i := 0; i < 1000; i++ {
+		d.Write(7, 1)
+	}
+	if err := d.Remap(7, 100); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Footprint().Redirect; got != 104*8+104 {
+		t.Fatalf("redirect footprint %d bytes, want %d", got, 104*8+104)
+	}
+}
+
+// TestWriteNOverflowClamp pins the failure clamp at the endurance ceiling:
+// a bulk write far larger than the page's headroom must stop at exactly
+// the failing write and log the failure.
+func TestWriteNOverflowClamp(t *testing.T) {
+	geom := Geometry{Pages: 2, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1}
+	d, err := NewDevice(geom, DefaultTiming(), []uint64{MaxEndurance, MaxEndurance})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.WriteN(0, 1, MaxEndurance-3); got != MaxEndurance-3 {
+		t.Fatalf("WriteN ramp applied %d, want MaxEndurance-3", got)
+	}
+	if got := d.WriteN(0, 42, 1<<40); got != 3 {
+		t.Fatalf("WriteN at the boundary applied %d, want 3", got)
+	}
+	if w := d.Wear(0); w != MaxEndurance {
+		t.Fatalf("wear = %d, want MaxEndurance", w)
+	}
+	if page, failed := d.Failed(); !failed || page != 0 {
+		t.Fatalf("Failed = %d/%v, want 0/true", page, failed)
+	}
+	d.RewriteN(1, MaxEndurance-3)
+	if got := d.RewriteN(1, 1<<40); got != 3 {
+		t.Fatalf("RewriteN at the boundary applied %d, want 3", got)
+	}
+	if d.FailedPages() != 2 {
+		t.Fatalf("failed pages = %d, want 2", d.FailedPages())
+	}
+}
+
+// TestWriteNWearCeiling: bulk writes to a dead page keep counting wear up
+// to the uint32 ceiling and no further. Past it nothing is applied, so wear
+// never wraps and total wear still equals TotalWrites.
+func TestWriteNWearCeiling(t *testing.T) {
+	d := testDevice(t, 2, 10)
+	if got := d.WriteN(0, 1, 20); got != 10 {
+		t.Fatalf("WriteN applied %d, want the 10 up to failure", got)
+	}
+	if got := d.WriteN(0, 100, 1<<32); got != math.MaxUint32-10 {
+		t.Fatalf("WriteN on a dead page applied %d, want %d", got, math.MaxUint32-10)
+	}
+	if w, p := d.Wear(0), d.Peek(0); w != math.MaxUint32 || p != 100+math.MaxUint32-11 {
+		t.Fatalf("wear %d payload %d, want %d / %d", w, p, uint64(math.MaxUint32), uint64(100+math.MaxUint32-11))
+	}
+	if got := d.WriteN(0, 7, 5); got != 0 {
+		t.Fatalf("WriteN at the wear ceiling applied %d, want 0", got)
+	}
+	if got := d.RewriteN(0, 5); got != 0 {
+		t.Fatalf("RewriteN at the wear ceiling applied %d, want 0", got)
+	}
+	if d.Peek(0) != 100+math.MaxUint32-11 {
+		t.Fatal("a write that applied nothing changed the payload")
+	}
+	if sum := d.Wear(0) + d.Wear(1); sum != d.TotalWrites() {
+		t.Fatalf("total wear %d != TotalWrites %d", sum, d.TotalWrites())
+	}
+	if d.FailedPages() != 1 {
+		t.Fatalf("failed pages = %d, want 1", d.FailedPages())
+	}
+}
+
+// TestWatermarkNearLimits exercises MinRemainingAtLeast with endurance at
+// MaxEndurance: the watermark arithmetic must stay exact.
+func TestWatermarkNearLimits(t *testing.T) {
+	geom := Geometry{Pages: 4, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1}
+	end := []uint64{MaxEndurance, MaxEndurance - 1, MaxEndurance, MaxEndurance}
+	d, err := NewDevice(geom, DefaultTiming(), end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.MinRemainingAtLeast(MaxEndurance - 1) {
+		t.Fatal("fresh device must have MaxEndurance-1 remaining everywhere")
+	}
+	if d.MinRemainingAtLeast(MaxEndurance) {
+		t.Fatal("page 1 cannot absorb MaxEndurance writes")
+	}
+	d.Write(1, 7)
+	if d.MinRemainingAtLeast(MaxEndurance - 1) {
+		t.Fatal("after one write page 1 has MaxEndurance-2 remaining")
+	}
+	if !d.MinRemainingAtLeast(MaxEndurance - 2) {
+		t.Fatal("watermark lost the exact minimum")
+	}
+	// A page driven to the wear ceiling reports zero headroom, not a
+	// wrapped value.
+	d.WriteN(2, 0, 1<<33)
+	d.WriteN(2, 0, 1<<33)
+	if d.Wear(2) != math.MaxUint32 || d.Remaining(2) != 0 || d.MinRemainingAtLeast(1) {
+		t.Fatalf("dead page at the ceiling: wear %d, Remaining %d", d.Wear(2), d.Remaining(2))
+	}
+}
+
+// TestGeometryValidateFullScale accepts the paper's real geometry and
+// rejects degenerate full-scale variants.
+func TestGeometryValidateFullScale(t *testing.T) {
+	g := DefaultGeometry()
+	if g.Pages != 8<<20 {
+		t.Fatalf("full geometry has %d pages, want 8Mi", g.Pages)
+	}
+	g.SparePages = g.Pages / 50
+	if err := g.Validate(); err != nil {
+		t.Fatalf("full geometry with spares invalid: %v", err)
+	}
+	if g.TotalPages() != 8<<20+(8<<20)/50 {
+		t.Fatalf("TotalPages = %d", g.TotalPages())
+	}
+	g.SparePages = -1
+	if err := g.Validate(); err == nil {
+		t.Fatal("negative spare pool unexpectedly valid")
 	}
 }

@@ -17,19 +17,14 @@ import (
 // is only a cache: MinRemainingAtLeast's conservative-"no" path depends on
 // when the last rescan happened, so dropping it would let a resumed run
 // answer a horizon query differently from the uninterrupted run.
-// The wire format is storage-width independent: a packed device writes its
-// uint32 wear counters as the same length-prefixed uint64 stream a wide
-// device writes, so checkpoints interoperate between the two modes and the
-// differential tests can compare snapshots byte for byte.
+// Wear counters go out as a length-prefixed uint64 stream, wider than the
+// uint32 they are stored in, so the wire format does not depend on the
+// storage width.
 func (d *Device) Snapshot(w io.Writer) error {
 	sw := snap.NewWriter(w)
-	if d.wear32 != nil {
-		sw.U32(uint32(len(d.wear32)))
-		for _, wv := range d.wear32 {
-			sw.U64(uint64(wv))
-		}
-	} else {
-		sw.U64s(d.wear)
+	sw.U32(uint32(len(d.wear)))
+	for _, wv := range d.wear {
+		sw.U64(uint64(wv))
 	}
 	sw.U64s(d.payload)
 	sw.U64(d.writes)
@@ -52,12 +47,8 @@ func (d *Device) Snapshot(w io.Writer) error {
 // persisted.
 func (d *Device) Restore(r io.Reader) error {
 	sr := snap.NewReader(r)
-	if d.wear32 != nil {
-		if err := restoreWear32(sr, d.wear32); err != nil {
-			return err
-		}
-	} else {
-		sr.U64sInto(d.wear)
+	if err := restoreWear(sr, d.wear); err != nil {
+		return err
 	}
 	sr.U64sInto(d.payload)
 	d.writes = sr.U64()
@@ -90,17 +81,16 @@ func (d *Device) Restore(r io.Reader) error {
 	return sr.Err()
 }
 
-// restoreWear32 reads the uint64-wire wear stream into a packed device's
-// uint32 counters, rejecting values the packed width cannot represent (a
-// checkpoint taken on a wide device whose wear outgrew uint32).
-func restoreWear32(sr *snap.Reader, dst []uint32) error {
+// restoreWear reads the uint64-wire wear stream into the uint32 counters,
+// rejecting values the storage width cannot represent.
+func restoreWear(sr *snap.Reader, dst []uint32) error {
 	if got := sr.U32(); sr.Err() == nil && int(got) != len(dst) {
 		return fmt.Errorf("pcm: checkpoint wear length %d does not match %d pages", got, len(dst))
 	}
 	for i := range dst {
 		v := sr.U64()
 		if v > 1<<32-1 {
-			return fmt.Errorf("pcm: checkpoint wear %d at page %d exceeds packed width", v, i)
+			return fmt.Errorf("pcm: checkpoint wear %d at page %d exceeds uint32", v, i)
 		}
 		dst[i] = uint32(v)
 	}

@@ -177,8 +177,12 @@ func persistJob(dir string, j *job) error {
 
 // loadJobs reads every job in dir, in lexical (= submission) order: the
 // base file, then its journal replayed and compacted into it. Cells that
-// were running when the previous daemon died come back pending.
-func loadJobs(dir string) ([]*job, error) {
+// were running when the previous daemon died come back pending, under the
+// key the current cellMaterial derives: a cell left unfinished by an older
+// key version must neither settle from that version's cache entry nor
+// resume its checkpoint, so rekey moves it and its old checkpoints in
+// ckptDir are removed.
+func loadJobs(dir, ckptDir string) ([]*job, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load jobs: %w", err)
@@ -204,6 +208,7 @@ func loadJobs(dir string) ([]*job, error) {
 		}
 		path := journalPath(dir, j.id)
 		data, err := os.ReadFile(path)
+		journaled := err == nil
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 		case err != nil:
@@ -212,6 +217,15 @@ func loadJobs(dir string) ([]*job, error) {
 			if err := replayJournal(path, data, j); err != nil {
 				return nil, err
 			}
+		}
+		stale, err := rekey(j)
+		if err != nil {
+			return nil, err
+		}
+		for _, key := range stale {
+			removeCheckpoints(ckptDir, key)
+		}
+		if journaled || len(stale) > 0 {
 			if err := compactJob(dir, j); err != nil {
 				return nil, err
 			}
@@ -219,6 +233,25 @@ func loadJobs(dir string) ([]*job, error) {
 		jobs = append(jobs, j)
 	}
 	return jobs, nil
+}
+
+// rekey gives every pending cell of j the key its spec derives today and
+// returns the keys it replaced. Settled cells keep the key they settled
+// under.
+func rekey(j *job) ([]string, error) {
+	fresh := buildCells(j.spec)
+	if len(fresh) != len(j.cells) {
+		return nil, fmt.Errorf("serve: load job %s: spec expands to %d cells, file has %d",
+			j.id, len(fresh), len(j.cells))
+	}
+	var stale []string
+	for i, c := range j.cells {
+		if c.Status == cellPending && c.Key != fresh[i].Key {
+			stale = append(stale, c.Key)
+			c.Key = fresh[i].Key
+		}
+	}
+	return stale, nil
 }
 
 // replayJournal applies the journal data, read from path, to j. A final

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"twl/internal/cache"
 	"twl/internal/obs"
 )
 
@@ -342,7 +344,7 @@ func TestJournalAppendFailureCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := loadJobs(srv.jobsDir)
+	jobs, err := loadJobs(srv.jobsDir, srv.ckptDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,9 +597,11 @@ func TestJournalReplayMatchesLiveState(t *testing.T) {
 }
 
 // TestLoadParentFormatState: a state directory written before jobs had
-// journals — one finished job, one drained mid-way with done and pending
-// cells — loads unchanged, and the unfinished job completes without
-// re-running its done cells.
+// journals, under the v1 cell key — one finished job, one drained mid-way
+// with done and pending cells — loads with its done cells unchanged, and
+// the unfinished job completes without re-running them. Its unfinished
+// cells move to the key cellMaterial derives today: a v1 cache entry and
+// a v1 checkpoint planted under their old keys are neither used nor kept.
 func TestLoadParentFormatState(t *testing.T) {
 	dir := t.TempDir()
 	jobsDir := filepath.Join(dir, "jobs")
@@ -632,6 +636,35 @@ func TestLoadParentFormatState(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("fixtures have no unfinished cell")
 	}
+	store, err := cache.New(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	planted := cellResult{Scheme: "planted", DemandWrites: 1}
+	var oldCkpts []string
+	for _, jf := range want {
+		for _, c := range jf.Cells {
+			if c.Status == cellDone {
+				continue
+			}
+			env, err := json.Marshal(cellEnvelope{Version: envelopeVersion, Material: "twlcell/v1", Result: planted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put(c.Key, env); err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(ckptDir, c.Key+".ckpt")
+			if err := os.WriteFile(ckpt, []byte("v1 checkpoint"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			oldCkpts = append(oldCkpts, ckpt)
+		}
+	}
 
 	srv := newTestServer(t, dir, 1)
 	defer srv.Close()
@@ -645,18 +678,34 @@ func TestLoadParentFormatState(t *testing.T) {
 		if st.Status != cellDone || len(st.Cells) != len(jf.Cells) {
 			t.Fatalf("%s: status %s with %d cells, want done with %d", id, st.Status, len(st.Cells), len(jf.Cells))
 		}
+		derived := buildCells(jf.Spec)
 		for i, c := range jf.Cells {
 			got := st.Cells[i]
-			if got.Key != c.Key || got.Status != cellDone || got.Result == nil {
+			if got.Status != cellDone || got.Result == nil {
 				t.Errorf("%s cell %d: %+v", id, i, got)
+				continue
 			}
-			if c.Status == cellDone && (got.Cached != c.Cached || *got.Result != *c.Result) {
-				t.Errorf("%s cell %d: done result changed on load:\n  file %+v\n  now  %+v", id, i, *c.Result, *got.Result)
+			if c.Status == cellDone {
+				if got.Key != c.Key || got.Cached != c.Cached || *got.Result != *c.Result {
+					t.Errorf("%s cell %d: done cell changed on load:\n  file %+v\n  now  %+v", id, i, *c, got)
+				}
+				continue
+			}
+			if got.Key != derived[i].Key || got.Key == c.Key {
+				t.Errorf("%s cell %d: key %s, want re-derived %s (file had %s)", id, i, got.Key, derived[i].Key, c.Key)
+			}
+			if got.Cached || *got.Result == planted {
+				t.Errorf("%s cell %d settled from the planted v1 cache entry: %+v", id, i, got)
 			}
 		}
 	}
 	if got := outcomeCount(srv, outcomeSimulated); got != uint64(pending) {
 		t.Errorf("simulated %v cells, want the %d unfinished ones", got, pending)
+	}
+	for _, ckpt := range oldCkpts {
+		if _, err := os.Stat(ckpt); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("v1 checkpoint %s kept (stat: %v)", ckpt, err)
+		}
 	}
 	logs, err := filepath.Glob(filepath.Join(jobsDir, "*.log"))
 	if err != nil || len(logs) != 0 {

@@ -165,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 		s.outcomes[o] = reg.Counter("twl_serve_cells_total", obs.L("outcome", o))
 	}
 
-	jobs, err := loadJobs(jobsDir)
+	jobs, err := loadJobs(jobsDir, ckptDir)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +359,7 @@ func (s *Server) runCell(j *job, i int) {
 		if json.Unmarshal(payload, &env) == nil && env.Version == envelopeVersion {
 			// Another job may have completed this cell after a preemption
 			// left a checkpoint behind; it will never resume now.
-			s.removeCheckpoints(c)
+			removeCheckpoints(s.ckptDir, c.Key)
 			s.finishCell(j, i, &env.Result, true, nil)
 			return
 		}
@@ -377,7 +377,7 @@ func (s *Server) runCell(j *job, i int) {
 		}
 		payload, merr := json.Marshal(env)
 		if merr != nil {
-			s.removeCheckpoints(c)
+			removeCheckpoints(s.ckptDir, c.Key)
 			s.finishCell(j, i, nil, false, merr)
 			return
 		}
@@ -386,11 +386,11 @@ func (s *Server) runCell(j *job, i int) {
 			// dedupe, not this job's correctness.
 			j.tracer.Emit("cache_error", obs.F("key", c.Key), obs.F("err", perr.Error()))
 		}
-		s.removeCheckpoints(c)
+		removeCheckpoints(s.ckptDir, c.Key)
 		s.finishCell(j, i, &res, false, nil)
 	case errors.Is(err, twl.ErrRunStopped):
 		if s.jobCancelled(j) {
-			s.removeCheckpoints(c)
+			removeCheckpoints(s.ckptDir, c.Key)
 			s.finishCell(j, i, nil, false, err)
 			return
 		}
@@ -401,7 +401,7 @@ func (s *Server) runCell(j *job, i int) {
 	default:
 		// A failed cell is terminal too — it never resumes, so keeping its
 		// checkpoint state would leak ckptDir space forever.
-		s.removeCheckpoints(c)
+		removeCheckpoints(s.ckptDir, c.Key)
 		s.finishCell(j, i, nil, false, err)
 	}
 }
@@ -508,12 +508,13 @@ func (s *Server) jobCancelled(j *job) bool {
 	return j.cancelled
 }
 
-// removeCheckpoints discards a cell's checkpoint state (a file for
-// unsharded cells, a directory for sharded ones). Completed and cancelled
-// cells will never resume, so the space comes back.
-func (s *Server) removeCheckpoints(c *cell) {
-	_ = os.Remove(filepath.Join(s.ckptDir, c.Key+".ckpt"))
-	_ = os.RemoveAll(filepath.Join(s.ckptDir, c.Key))
+// removeCheckpoints discards the checkpoint state in dir of the cell keyed
+// key (a file for unsharded cells, a directory for sharded ones).
+// Completed, cancelled and re-keyed cells will never resume from it, so
+// the space comes back.
+func removeCheckpoints(dir, key string) {
+	_ = os.Remove(filepath.Join(dir, key+".ckpt"))
+	_ = os.RemoveAll(filepath.Join(dir, key))
 }
 
 // finishCell settles cell i of j into a terminal state and persists it.

@@ -39,7 +39,7 @@ func ckptRunOne(t *testing.T, build schemeFactory, kind string, disableFF bool, 
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites:    maxWrites,
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -193,18 +193,18 @@ func TestCheckpointValidation(t *testing.T) {
 	_ = ckptRunOne(t, build, "repeat", false, 3*ckptCadence, &CheckpointConfig{Path: path, Every: ckptCadence})
 
 	s := build(t)
-	if _, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	if _, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{},
 	}); err == nil {
 		t.Error("empty checkpoint path accepted")
 	}
 
 	// Resuming under a different scheme must be rejected by the meta check.
-	other, err := wl.Default.New("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
+	other, err := wl.Default.Build("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunLifetime(other, diffSource(t, "repeat", demandPages(other)), LifetimeConfig{
+	if _, err := RunLifetime(other, diffSource(t, "repeat", wl.LogicalPages(other)), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Resume: true},
 	}); err == nil || !strings.Contains(err.Error(), "scheme") {
 		t.Errorf("scheme mismatch not rejected: %v", err)
@@ -212,7 +212,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Resuming without the metrics sink the checkpoint was taken with.
 	s2 := build(t)
-	if _, err := RunLifetime(s2, diffSource(t, "repeat", demandPages(s2)), LifetimeConfig{
+	if _, err := RunLifetime(s2, diffSource(t, "repeat", wl.LogicalPages(s2)), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Resume: true},
 	}); err == nil || !strings.Contains(err.Error(), "metrics") {
 		t.Errorf("metrics-config mismatch not rejected: %v", err)
@@ -231,7 +231,7 @@ func TestCheckpointValidation(t *testing.T) {
 	s3 := build(t)
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
-	if _, err := RunLifetime(s3, diffSource(t, "repeat", demandPages(s3)), LifetimeConfig{
+	if _, err := RunLifetime(s3, diffSource(t, "repeat", wl.LogicalPages(s3)), LifetimeConfig{
 		Metrics:    reg,
 		Trace:      obs.NewTracer(&traceBuf, 1000),
 		Checkpoint: &CheckpointConfig{Path: bad, Resume: true},
@@ -246,7 +246,7 @@ func TestCheckpointWriteFailureAborts(t *testing.T) {
 	build := registryFactory("TWL_swp")
 	s := build(t)
 	path := filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt")
-	_, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	_, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * ckptCadence,
 		Checkpoint:      &CheckpointConfig{Path: path, Every: ckptCadence},
 	})
@@ -274,7 +274,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		build := func(t *testing.T) wl.Scheme {
 			t.Helper()
 			dev := wltest.NewDeviceEndurance(t, 64, 500, diffSeed)
-			s, err := wl.Default.New(name, dev, diffSeed)
+			s, err := wl.Default.Build(name, dev, diffSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +359,7 @@ func TestStopPreemption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	s := build(t)
 	polled := false
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence},
 		Stop:       func() bool { polled = true; return true },
 	})
@@ -377,7 +377,7 @@ func TestStopPreemption(t *testing.T) {
 	}
 
 	s2 := build(t)
-	resumed, err := RunLifetime(s2, diffSource(t, "repeat", demandPages(s2)), LifetimeConfig{
+	resumed, err := RunLifetime(s2, diffSource(t, "repeat", wl.LogicalPages(s2)), LifetimeConfig{
 		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence, Resume: true},
 	})
 	if err != nil {
@@ -399,11 +399,11 @@ func TestStopPreemption(t *testing.T) {
 // just cannot be resumed.
 func TestStopWithoutCheckpoint(t *testing.T) {
 	dev := wltest.NewDeviceEndurance(t, 64, 1<<20, diffSeed)
-	s, err := wl.Default.New("StartGap", dev, diffSeed)
+	s, err := wl.Default.Build("StartGap", dev, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := diffSource(t, "repeat", demandPages(s))
+	src := diffSource(t, "repeat", wl.LogicalPages(s))
 	stops := 0
 	res, err := RunLifetime(s, src, LifetimeConfig{
 		Stop: func() bool { stops++; return true },

@@ -22,11 +22,11 @@ func benchLifetime(b *testing.B, scheme string, newSource func(pages int) (Sourc
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dev := wltest.NewDeviceEndurance(b, 512, 5000, 1)
-		s, err := wl.Default.New(scheme, dev, 1)
+		s, err := wl.Default.Build(scheme, dev, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		src, err := newSource(demandPages(s))
+		src, err := newSource(wl.LogicalPages(s))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -116,15 +116,6 @@ func diffSource(t *testing.T, kind string, pages int) Source {
 	return nil
 }
 
-// demandPages returns the scheme's logical page count (LogicalPages when
-// the scheme reserves spare pages, the device size otherwise).
-func demandPages(s wl.Scheme) int {
-	if z, ok := s.(interface{ LogicalPages() int }); ok {
-		return z.LogicalPages()
-	}
-	return s.Device().Pages()
-}
-
 // metricsJSON renders the registry as JSON with the twl_ff_* and twl_ckpt_*
 // series removed: twl_ff_* describes the simulator's own fast-path chunking
 // (the per-write path never creates it, and checkpoint-cadence clamping
@@ -179,7 +170,7 @@ func registryFactory(name string) schemeFactory {
 	return func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.New(name, dev, diffSeed)
+		s, err := wl.Default.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +185,7 @@ func diffRunOne(t *testing.T, build schemeFactory, kind string, disableFF bool) 
 	reg := obs.NewRegistry()
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites:    3 * dev.TotalEndurance(),
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -265,7 +256,7 @@ func diffCompare(t *testing.T, build schemeFactory, kind string) {
 func TestFastForwardImplementers(t *testing.T) {
 	for _, name := range wl.Names() {
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.New(name, dev, diffSeed)
+		s, err := wl.Default.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +406,7 @@ func TestFastForwardDifferentialWRLVariants(t *testing.T) {
 func TestFastForwardMetrics(t *testing.T) {
 	s := registryFactory("TWL_swp")(t)
 	reg := obs.NewRegistry()
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),
 		Metrics:         reg,
 	})

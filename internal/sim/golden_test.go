@@ -43,7 +43,7 @@ func goldenRun(t *testing.T, build schemeFactory, kind string) goldenCell {
 	t.Helper()
 	s := build(t)
 	dev := s.Device()
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * dev.TotalEndurance(),
 		CheckEvery:      977,
 	})

@@ -52,7 +52,7 @@ func TestReadNContract(t *testing.T) {
 		for i := 0; i < prefix; i++ {
 			la := r.Intn(hot)
 			if i%8 == 0 {
-				la = r.Intn(demandPages(s))
+				la = r.Intn(wl.LogicalPages(s))
 			}
 			_ = s.Write(la, uint64(i)) // only the resulting state matters
 		}
@@ -72,7 +72,7 @@ func TestReadNContract(t *testing.T) {
 					cost := bulk.ReadN(k)
 					r := rng.NewXorshift(diffSeed + 1)
 					for i := 0; i < k; i++ {
-						la := r.Intn(demandPages(each))
+						la := r.Intn(wl.LogicalPages(each))
 						if i%2 == 0 {
 							la = r.Intn(hot)
 						}

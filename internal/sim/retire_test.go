@@ -67,7 +67,7 @@ func retireRunOne(t *testing.T, name, order, kind string, disableFF bool, maxWri
 	}
 	var traceBuf bytes.Buffer
 	tr := obs.NewTracer(&traceBuf, 1000)
-	res, err := RunLifetime(s, diffSource(t, kind, demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites:    maxWrites,
 		CheckEvery:         977,
 		Metrics:            reg,
@@ -167,7 +167,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 	bare := diffRunOne(t, func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewSpareDevice(t, diffPages, retireSpares, diffEndurance, diffSeed)
-		s, err := wl.Default.New("TWL_swp", dev, diffSeed)
+		s, err := wl.Default.Build("TWL_swp", dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	s := buildRetired(t, "TWL_swp", "retire_outer", reg)
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),
 		Metrics:         reg,
 	})
@@ -275,8 +275,8 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 	for _, name := range wl.Names() {
 		for order := range retireOrders {
 			t.Run(name+"/"+order, func(t *testing.T) {
-				bareDev := wltest.NewSpareDevice(t, 64, 4, 1e15, diffSeed)
-				bare, err := wl.Default.New(name, bareDev, diffSeed)
+				bareDev := wltest.NewSpareDevice(t, 64, 4, 1e9, diffSeed)
+				bare, err := wl.Default.Build(name, bareDev, diffSeed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -302,7 +302,7 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 					t.Error("composite hides the capacity reporter")
 				}
 
-				n := demandPages(s)
+				n := wl.LogicalPages(s)
 				for i := 0; i < 5000; i++ {
 					s.Write(i*13%n, uint64(i))
 				}
@@ -349,7 +349,7 @@ func TestInstrumentedStartGapBulkPath(t *testing.T) {
 	if _, ok := s.(wl.RunWriter); !ok {
 		t.Fatal("instrumented StartGap lost wl.RunWriter")
 	}
-	res, err := RunLifetime(s, diffSource(t, "repeat", demandPages(s)), LifetimeConfig{
+	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * dev.TotalEndurance(),
 		Metrics:         reg,
 	})

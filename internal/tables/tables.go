@@ -14,28 +14,34 @@
 //
 // All tables are plain in-memory structures sized one entry per page; the
 // hardware-cost model in internal/hwcost derives the bit widths the paper
-// reports in Section 5.4 from these shapes.
+// reports in Section 5.4 from these shapes. Page addresses are stored as
+// uint32, which addresses up to 2^32 pages (pcm.MaxPages): at the paper's
+// full geometry (8Mi pages) the RT costs 64 MiB instead of the 128 MiB an
+// int-per-entry table would.
 package tables
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Remap is the remapping table (RT): a bijection between logical page
 // addresses (LA) and physical page addresses (PA). It keeps the inverse
 // mapping so both directions are O(1) and swaps stay cheap.
 type Remap struct {
-	toPhys []int // LA → PA
-	toLog  []int // PA → LA
+	toPhys []uint32 // LA → PA
+	toLog  []uint32 // PA → LA
 }
 
-// NewRemap returns an identity mapping over n pages.
+// NewRemap returns an identity mapping over n ≤ 2^32 pages.
 func NewRemap(n int) *Remap {
 	r := &Remap{
-		toPhys: make([]int, n),
-		toLog:  make([]int, n),
+		toPhys: make([]uint32, n),
+		toLog:  make([]uint32, n),
 	}
-	for i := 0; i < n; i++ {
-		r.toPhys[i] = i
-		r.toLog[i] = i
+	for i := range r.toPhys {
+		r.toPhys[i] = uint32(i)
+		r.toLog[i] = uint32(i)
 	}
 	return r
 }
@@ -44,29 +50,29 @@ func NewRemap(n int) *Remap {
 func (r *Remap) Len() int { return len(r.toPhys) }
 
 // Phys returns the physical page currently backing logical page la.
-func (r *Remap) Phys(la int) int { return r.toPhys[la] }
+func (r *Remap) Phys(la int) int { return int(r.toPhys[la]) }
 
 // Log returns the logical page currently mapped to physical page pa.
-func (r *Remap) Log(pa int) int { return r.toLog[pa] }
+func (r *Remap) Log(pa int) int { return int(r.toLog[pa]) }
 
 // PhysTable returns the LA → PA table itself, for bulk readers that walk
 // many entries in a hot loop (one slice load instead of a method call per
 // lookup). Callers must treat the slice as read-only, and must not hold it
 // across a Swap.
-func (r *Remap) PhysTable() []int { return r.toPhys }
+func (r *Remap) PhysTable() []uint32 { return r.toPhys }
 
 // SwapLogical exchanges the physical pages backing logical addresses la1 and
 // la2. This is the mapping update that accompanies a data swap.
 func (r *Remap) SwapLogical(la1, la2 int) {
 	p1, p2 := r.toPhys[la1], r.toPhys[la2]
 	r.toPhys[la1], r.toPhys[la2] = p2, p1
-	r.toLog[p1], r.toLog[p2] = la2, la1
+	r.toLog[p1], r.toLog[p2] = uint32(la2), uint32(la1)
 }
 
 // SwapPhysical exchanges the logical owners of physical addresses pa1 and
 // pa2 (the same operation as SwapLogical, addressed from the physical side).
 func (r *Remap) SwapPhysical(pa1, pa2 int) {
-	r.SwapLogical(r.toLog[pa1], r.toLog[pa2])
+	r.SwapLogical(r.Log(pa1), r.Log(pa2))
 }
 
 // CheckBijection verifies RT ∘ RT⁻¹ = identity; it returns a descriptive
@@ -74,10 +80,10 @@ func (r *Remap) SwapPhysical(pa1, pa2 int) {
 // use this invariant check.
 func (r *Remap) CheckBijection() error {
 	for la, pa := range r.toPhys {
-		if pa < 0 || pa >= len(r.toLog) {
+		if int(pa) >= len(r.toLog) {
 			return fmt.Errorf("tables: LA %d maps to out-of-range PA %d", la, pa)
 		}
-		if r.toLog[pa] != la {
+		if int(r.toLog[pa]) != la {
 			return fmt.Errorf("tables: LA %d → PA %d but PA %d → LA %d",
 				la, pa, pa, r.toLog[pa])
 		}
@@ -148,18 +154,21 @@ func (w *WriteCounts) Counts() []uint64 {
 // partner of page p. A valid pairing is a symmetric involution with no fixed
 // points (every page has exactly one partner, and partnership is mutual).
 type PairTable struct {
-	partner []int
+	partner []uint32
 }
 
-// NewPairTable returns an unpaired table (all entries -1) over n pages.
-// n must be even to admit a perfect pairing.
+// unpaired marks a page Bind has not reached yet.
+const unpaired = math.MaxUint32
+
+// NewPairTable returns an unpaired table over n ≤ 2^32 pages. n must be
+// even to admit a perfect pairing.
 func NewPairTable(n int) (*PairTable, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("tables: pair table needs an even page count, got %d", n)
 	}
-	p := &PairTable{partner: make([]int, n)}
+	p := &PairTable{partner: make([]uint32, n)}
 	for i := range p.partner {
-		p.partner[i] = -1
+		p.partner[i] = unpaired
 	}
 	return p, nil
 }
@@ -173,19 +182,19 @@ func (p *PairTable) Bind(a, b int) error {
 	if a == b {
 		return fmt.Errorf("tables: cannot pair page %d with itself", a)
 	}
-	if p.partner[a] != -1 && p.partner[a] != b {
-		return fmt.Errorf("tables: page %d already paired with %d", a, p.partner[a])
+	if q := p.partner[a]; q != unpaired && int(q) != b {
+		return fmt.Errorf("tables: page %d already paired with %d", a, q)
 	}
-	if p.partner[b] != -1 && p.partner[b] != a {
-		return fmt.Errorf("tables: page %d already paired with %d", b, p.partner[b])
+	if q := p.partner[b]; q != unpaired && int(q) != a {
+		return fmt.Errorf("tables: page %d already paired with %d", b, q)
 	}
-	p.partner[a] = b
-	p.partner[b] = a
+	p.partner[a] = uint32(b)
+	p.partner[b] = uint32(a)
 	return nil
 }
 
-// Partner returns the partner of page a (or -1 if unpaired).
-func (p *PairTable) Partner(a int) int { return p.partner[a] }
+// Partner returns the partner of page a, which must be bound.
+func (p *PairTable) Partner(a int) int { return int(p.partner[a]) }
 
 // Rebind atomically re-pairs after an inter-pair swap: given pages x and y
 // belonging to different pairs (x,px) and (y,py), it forms (x,py) and (y,px)
@@ -194,26 +203,26 @@ func (p *PairTable) Partner(a int) int { return p.partner[a] }
 // no-op.
 func (p *PairTable) Rebind(x, y int) {
 	px, py := p.partner[x], p.partner[y]
-	if px == y {
+	if int(px) == y {
 		return
 	}
 	p.partner[x] = py
-	p.partner[py] = x
+	p.partner[py] = uint32(x)
 	p.partner[y] = px
-	p.partner[px] = y
+	p.partner[px] = uint32(y)
 }
 
 // Check verifies the involution invariant: partner[partner[i]] == i and
 // partner[i] != i for all i.
 func (p *PairTable) Check() error {
 	for i, q := range p.partner {
-		if q < 0 || q >= len(p.partner) {
-			return fmt.Errorf("tables: page %d has invalid partner %d", i, q)
+		if int(q) >= len(p.partner) {
+			return fmt.Errorf("tables: page %d has no partner", i)
 		}
-		if q == i {
+		if int(q) == i {
 			return fmt.Errorf("tables: page %d paired with itself", i)
 		}
-		if p.partner[q] != i {
+		if int(p.partner[q]) != i {
 			return fmt.Errorf("tables: pairing not symmetric: %d→%d but %d→%d",
 				i, q, q, p.partner[q])
 		}
@@ -269,3 +278,21 @@ func (c *Counter) Clear(i int) { c.counts[i] = 0 }
 
 // MaxInterval is the largest toss-up interval a 7-bit WCT can express.
 const MaxInterval = 128
+
+// Bytes accounting: every table reports the heap bytes of its per-page
+// state, so engines can itemize their memory footprint for the BENCH
+// bytes-per-page audit. Slice headers and bookkeeping are excluded — the
+// arrays dominate by orders of magnitude at any interesting geometry.
+
+// Bytes returns the table's per-page state size in bytes.
+func (r *Remap) Bytes() int64 { return int64(len(r.toPhys))*4 + int64(len(r.toLog))*4 }
+
+// Bytes returns the table's per-page state size in bytes (the touched list
+// grows and shrinks with the workload; it is counted at its current size).
+func (w *WriteCounts) Bytes() int64 { return int64(len(w.counts))*8 + int64(len(w.touched))*8 }
+
+// Bytes returns the table's per-page state size in bytes.
+func (p *PairTable) Bytes() int64 { return int64(len(p.partner)) * 4 }
+
+// Bytes returns the table's per-page state size in bytes.
+func (c *Counter) Bytes() int64 { return int64(len(c.counts)) }

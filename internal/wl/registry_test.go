@@ -62,7 +62,7 @@ func TestRegistryAddLookupNew(t *testing.T) {
 		}
 	}
 	dev := testDevice(t, 8)
-	s, err := r.New("beta", dev, 1)
+	s, err := r.Build("beta", dev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRegistryInvalidRegistration(t *testing.T) {
 func TestRegistryUnknownName(t *testing.T) {
 	r := NewRegistry()
 	r.MustAdd(Registration{Name: "Only", New: fakeFactory("Only")})
-	_, err := r.New("bogus", testDevice(t, 8), 1)
+	_, err := r.Build("bogus", testDevice(t, 8), 1)
 	if !errors.Is(err, ErrUnknownScheme) {
 		t.Fatalf("unknown name err = %v, want ErrUnknownScheme", err)
 	}

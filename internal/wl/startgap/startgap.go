@@ -184,7 +184,7 @@ func (s *Scheme) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) {
 	ila := s.randomized(la)
 	ra, logical := s.ra, s.logical
 	for i := range buf {
-		buf[i] = phys[ila]
+		buf[i] = int(phys[ila])
 		// Branch-free wrap (compiles to a conditional move; the wrap branch
 		// itself is data-dependent and mispredicts).
 		ila += ra

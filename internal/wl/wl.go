@@ -150,8 +150,7 @@ type Snapshotter interface {
 
 // MemoryReporter is implemented by schemes that can itemize the heap bytes
 // of their per-page metadata tables. The bench tools combine it with
-// pcm.Device.Footprint to report bytes-per-page for a whole stack, which is
-// how packed-table layouts prove their memory win.
+// pcm.Device.Footprint to report bytes-per-page for a whole stack.
 type MemoryReporter interface {
 	// TableBytes returns the total bytes of the scheme's per-page state
 	// (remap tables, counters, endurance copies); transient scratch space
@@ -245,7 +244,7 @@ type Factory func(dev *pcm.Device, seed uint64) (Scheme, error)
 
 // SortByEndurance returns page indices sorted by ascending endurance
 // (weakest first). Shared by WRL's swap phase and TWL's strong-weak pairing.
-func SortByEndurance(endurance []uint64) []int {
+func SortByEndurance[E uint32 | uint64](endurance []E) []int {
 	idx := make([]int, len(endurance))
 	for i := range idx {
 		idx[i] = i
@@ -254,6 +253,19 @@ func SortByEndurance(endurance []uint64) []int {
 		return endurance[idx[a]] < endurance[idx[b]]
 	})
 	return idx
+}
+
+// LogicalPages returns the number of demand-addressable pages s serves.
+// Schemes that keep pages out of the address space (StartGap's gap page,
+// RBSG's gap page per region) report it through a LogicalPages method; the
+// others serve every visible page of the device. Size request sources with
+// it: a source over Device().Pages() sends such a scheme addresses it does
+// not have.
+func LogicalPages(s Scheme) int {
+	if z, ok := s.(interface{ LogicalPages() int }); ok {
+		return z.LogicalPages()
+	}
+	return s.Device().Pages()
 }
 
 // ValidateLA bounds-checks a logical address against the device.

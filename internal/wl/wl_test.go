@@ -53,7 +53,7 @@ func TestSortByEndurance(t *testing.T) {
 			t.Fatalf("tie order not stable: %v", idx)
 		}
 	}
-	if len(SortByEndurance(nil)) != 0 {
+	if len(SortByEndurance([]uint64(nil))) != 0 {
 		t.Fatal("nil input")
 	}
 }

@@ -131,13 +131,7 @@ func (r *shardedRun) buildShard(i int) (Scheme, sim.Source, error) {
 		Banks:    1,
 	}
 	end := r.end[i*r.sp : (i+1)*r.sp]
-	var dev *Device
-	var err error
-	if r.sys.Packed {
-		dev, err = pcm.NewPackedDevice(geom, pcm.DefaultTiming(), end)
-	} else {
-		dev, err = pcm.NewDevice(geom, pcm.DefaultTiming(), end)
-	}
+	dev, err := pcm.NewDevice(geom, pcm.DefaultTiming(), end)
 	if err != nil {
 		return nil, nil, fmt.Errorf("twl: shard %d device: %w", i, err)
 	}

@@ -102,26 +102,6 @@ func TestShardedReproducible(t *testing.T) {
 	}
 }
 
-// TestShardedPackedMatchesWide ties the tentpole layers together: the same
-// sharded run on packed storage (packed device + packed TWL engine) and on
-// wide storage must merge to the identical result.
-func TestShardedPackedMatchesWide(t *testing.T) {
-	sys := shardedTestSystem(33)
-	cfg := ShardedConfig{Scheme: "TWL_swp", Mode: AttackInconsistent, Shards: 8}
-	wide, err := RunShardedLifetime(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Packed = true
-	packed, err := RunShardedLifetime(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wide, packed) {
-		t.Errorf("packed sharded run differs from wide:\nwide: %+v\npacked: %+v", wide, packed)
-	}
-}
-
 // TestShardedResume: a run writing per-shard checkpoints, then re-invoked
 // with Resume, restores each shard mid-stream and still produces the
 // bit-identical merged result.

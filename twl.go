@@ -116,7 +116,8 @@ type SystemConfig struct {
 	Pages int
 	// PageSize in bytes (Table 1: 4096).
 	PageSize int
-	// MeanEndurance is the scaled mean endurance in writes.
+	// MeanEndurance is the scaled mean endurance in writes, at most 2^31
+	// (pcm.MaxEndurance); the paper's is 10^8.
 	MeanEndurance float64
 	// SigmaFraction is the endurance standard deviation as a fraction of
 	// the mean (Section 5.1: 0.11).
@@ -126,12 +127,6 @@ type SystemConfig struct {
 	// retirement decorator (WithRetirement) remaps a failed page onto one.
 	// Typical provisioning is 2–5% of Pages.
 	SparePages int
-	// Packed selects compact device storage (uint32 wear counters, uint8
-	// inter-pair state) — half the bytes per page with bit-identical
-	// results. Requires MeanEndurance to leave headroom under the packed
-	// counter width; NewDevice validates. TWL additionally switches to its
-	// packed engine on a packed device (core.NewAuto).
-	Packed bool
 	// Seed drives the endurance map and every scheme RNG derived from it.
 	Seed uint64
 }
@@ -174,8 +169,8 @@ func (c SystemConfig) Validate() error {
 	if c.PageSize <= 0 {
 		return fmt.Errorf("twl: %w: PageSize must be positive, got %d", ErrBadConfig, c.PageSize)
 	}
-	if c.MeanEndurance <= 0 {
-		return fmt.Errorf("twl: %w: MeanEndurance must be positive, got %g", ErrBadConfig, c.MeanEndurance)
+	if c.MeanEndurance <= 0 || c.MeanEndurance > pcm.MaxEndurance {
+		return fmt.Errorf("twl: %w: MeanEndurance must be in (0, 2^31], got %g", ErrBadConfig, c.MeanEndurance)
 	}
 	if c.SigmaFraction < 0 || c.SigmaFraction >= 1 {
 		return fmt.Errorf("twl: %w: SigmaFraction must be in [0, 1), got %g", ErrBadConfig, c.SigmaFraction)
@@ -222,9 +217,6 @@ func (c SystemConfig) NewDevice() (*Device, error) {
 		Ranks:      4,
 		Banks:      32,
 		SparePages: c.SparePages,
-	}
-	if c.Packed {
-		return pcm.NewPackedDevice(geom, pcm.DefaultTiming(), end)
 	}
 	return pcm.NewDevice(geom, pcm.DefaultTiming(), end)
 }
