@@ -27,12 +27,7 @@ type base struct {
 // gap page, SecRef's spare region) expose a smaller logical space; a
 // decorator must not widen it back to the device size, or traffic generators
 // would address pages the scheme never maps.
-func (b base) LogicalPages() int {
-	if z, ok := b.inner.(interface{ LogicalPages() int }); ok {
-		return z.LogicalPages()
-	}
-	return b.inner.Device().Pages()
-}
+func (b base) LogicalPages() int { return LogicalPages(b.inner) }
 
 // Unwrap returns the scheme this layer decorates — the next layer down the
 // stack.
