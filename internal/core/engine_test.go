@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"twl/internal/pcm"
-	"twl/internal/rng"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
 )
@@ -23,59 +21,6 @@ func TestEngineConformance(t *testing.T) {
 		}
 		return e
 	})
-}
-
-// TestSnapshotRestoreContinues checkpoints an engine mid-run and restores
-// the stream into a fresh engine over a copy of the device; both must then
-// continue bit-identically, costs, stats and snapshots alike.
-func TestSnapshotRestoreContinues(t *testing.T) {
-	const pages = 128
-	cfg := DefaultConfig(3)
-	e, err := New(newDevice(t, pages, 5000, 3), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv := rng.NewXorshift(77)
-	for op := 0; op < 3000; op++ {
-		e.Write(drv.Intn(pages), uint64(op))
-	}
-	var es, ds bytes.Buffer
-	if err := e.Snapshot(&es); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Device().Snapshot(&ds); err != nil {
-		t.Fatal(err)
-	}
-	dev2 := newDevice(t, pages, 5000, 3)
-	if err := dev2.Restore(&ds); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := New(dev2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Restore(&es); err != nil {
-		t.Fatal(err)
-	}
-	for op := 0; op < 2000; op++ {
-		la, tag := drv.Intn(pages), uint64(1_000_000+op)
-		if c1, c2 := e.Write(la, tag), e2.Write(la, tag); c1 != c2 {
-			t.Fatalf("op %d: cost %+v after restore, %+v uninterrupted", op, c2, c1)
-		}
-	}
-	if e.Stats() != e2.Stats() {
-		t.Fatalf("stats %+v after restore, %+v uninterrupted", e2.Stats(), e.Stats())
-	}
-	var a, b bytes.Buffer
-	if err := e.Snapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Snapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("engine snapshots differ after the restored run")
-	}
 }
 
 // TestNewWidthLimits: configurations the engine's narrow tables cannot
