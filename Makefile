@@ -12,8 +12,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# perfbench/ is a module of its own (./... stops at its go.mod), so it is
+# vetted separately: it wraps wl and sim interfaces and must keep compiling.
 vet:
 	go vet ./...
+	cd perfbench && go vet ./...
 
 # Project-specific static contracts (determinism, registry, cost accounting,
 # locks/atomics, concurrency discipline, hotpath allocation budget) — see
@@ -73,7 +76,7 @@ servesmoke:
 
 # Short fuzz pass over every fuzz target (CI runs this; locally useful
 # before touching the trace readers, the workload sampler, the Feistel
-# network or the remap table).
+# network, the remap table or the twlsimd job spec).
 fuzzsmoke:
 	go test ./internal/trace -run '^$$' -fuzz FuzzTextReader -fuzztime 10s
 	go test ./internal/trace -run '^$$' -fuzz FuzzBinaryReader -fuzztime 10s
@@ -86,3 +89,4 @@ fuzzsmoke:
 	go test ./internal/wl/od3p -run '^$$' -fuzz FuzzEventHorizonOD3P -fuzztime 10s
 	go test ./internal/wl/rbsg -run '^$$' -fuzz FuzzEventHorizonRBSG -fuzztime 10s
 	go test ./internal/sim -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 10s
+	go test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s

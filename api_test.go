@@ -210,12 +210,11 @@ func TestInstrumentFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheme("NOWL", dev, 1)
+	reg := NewMetrics()
+	s, err := NewScheme("NOWL", dev, 1, WithInstrumentation(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewMetrics()
-	s = Instrument(s, reg)
 	for i := 0; i < 5; i++ {
 		s.Write(i, uint64(i))
 	}

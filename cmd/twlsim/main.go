@@ -101,7 +101,7 @@ func main() {
 	case *attackMode != "":
 		mode, err := twl.ParseAttackMode(*attackMode)
 		fatal(err)
-		st, err := attack.New(attack.DefaultConfig(mode, sys.Pages, *seed+11))
+		st, err := attack.New(attack.DefaultConfig(mode, wl.LogicalPages(s), *seed+11))
 		fatal(err)
 		src = sim.FromAttack(st)
 		ideal = twl.IdealYears(*bandwidth)

@@ -13,6 +13,7 @@ package attack
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"twl/internal/rng"
 )
@@ -65,6 +66,11 @@ type Stream interface {
 	// Next returns the next logical page to write, given the feedback from
 	// the previously issued request.
 	Next(fb Feedback) int
+	// Snapshot and Restore checkpoint the stream's position (and RNG or
+	// control state) under the wl.Snapshotter contract, so a resumed
+	// lifetime run issues exactly the writes the uninterrupted run would.
+	Snapshot(w io.Writer) error
+	Restore(r io.Reader) error
 }
 
 // RunStream is the optional fast-forward interface for streams whose next

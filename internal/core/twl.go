@@ -105,10 +105,12 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
-// alphaSource is the RNG interface the toss-up needs.
+// alphaSource is the RNG interface the toss-up needs; a checkpoint persists
+// its stream position.
 type alphaSource interface {
 	Alpha() float64
 	Intn(n int) int
+	wl.Snapshotter
 }
 
 // xorshiftAlpha adapts Xorshift to the alphaSource interface.
@@ -148,8 +150,6 @@ type Engine struct {
 }
 
 var _ wl.Scheme = (*Engine)(nil)
-var _ wl.Checker = (*Engine)(nil)
-var _ wl.RunWriter = (*Engine)(nil)
 var _ wl.SweepWriter = (*Engine)(nil)
 var _ wl.MemoryReporter = (*Engine)(nil)
 
@@ -633,11 +633,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	if err := sw.Err(); err != nil {
 		return err
 	}
-	src, ok := e.src.(wl.Snapshotter)
-	if !ok {
-		return fmt.Errorf("core: alpha source %T does not support checkpointing", e.src)
-	}
-	if err := src.Snapshot(w); err != nil {
+	if err := e.src.Snapshot(w); err != nil {
 		return err
 	}
 	return e.stats.Snapshot(w)
@@ -665,11 +661,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := sr.Err(); err != nil {
 		return err
 	}
-	src, ok := e.src.(wl.Snapshotter)
-	if !ok {
-		return fmt.Errorf("core: alpha source %T does not support checkpointing", e.src)
-	}
-	if err := src.Restore(r); err != nil {
+	if err := e.src.Restore(r); err != nil {
 		return err
 	}
 	if err := e.stats.Restore(r); err != nil {

@@ -8,40 +8,43 @@ import (
 // decoratorAnalyzer enforces the interception-completeness contract
 // (DESIGN.md "Decorator composition"): a named struct type that embeds the
 // wl.Scheme interface and declares its own Write method is a decorator — it
-// interposes on the per-request write path. Such a type must also implement
-// every optional capability interface (wl.Checker, wl.Snapshotter,
-// wl.RunWriter, wl.SweepWriter). A missing implementation is not a
-// capability loss — Wrap simply withholds the interface — but a silent
-// bypass hazard: if the composite is built any other way, the embedded
-// scheme's interface methods serve that path directly, skipping whatever
-// the decorator's Write interposes (a bulk write that dodges failure
-// handling, a checkpoint that drops decorator state, paranoid mode that
-// never sees the decorator's invariants). One diagnostic per missing
-// interface; a decorator that genuinely wants pass-through for one
-// capability states so in twlint.allow.
+// interposes on the per-request write path. Such a type must itself declare
+// every method that serves a path around Write: CheckInvariants, Snapshot,
+// Restore, WriteRun and WriteSweep. The embedded wl.Scheme promotes all of
+// them but WriteSweep, so the decorator always satisfies the interfaces; an
+// undeclared one is a silent bypass — the embedded scheme's method serves
+// that path directly, skipping whatever the decorator's Write interposes (a
+// bulk write that dodges failure handling, a checkpoint that drops
+// decorator state, paranoid mode that never sees the decorator's
+// invariants). Likewise a decorator that declares Read must declare ReadN,
+// or bulk reads bypass it. One diagnostic per undeclared method; a
+// decorator that genuinely wants pass-through for one path states so in
+// twlint.allow.
 var decoratorAnalyzer = &Analyzer{
 	Name: "decorator",
-	Doc:  "a type embedding wl.Scheme that overrides Write must implement every optional scheme interface",
+	Doc:  "a type embedding wl.Scheme that overrides Write must declare every check, snapshot and bulk-write method, and ReadN beside Read",
 }
 
 func init() { decoratorAnalyzer.Run = runDecorator }
 
-// optionalIfaces are the capability interfaces Wrap forwards; a decorator
-// must intercept each one.
-var optionalIfaces = []string{"Checker", "Snapshotter", "RunWriter", "SweepWriter"}
+// interceptIfaces are the wl interfaces whose methods serve paths around
+// Write; a decorator must declare each of their methods.
+var interceptIfaces = []string{"Checker", "Snapshotter", "RunWriter", "SweepWriter"}
 
 func runDecorator(p *Package, w *World) []Diagnostic {
 	if !internalScope(p.Path) {
 		return nil
 	}
 	wlPkg := w.wlContract(p)
-	ifaces := make(map[string]*types.Interface, len(optionalIfaces))
-	for _, name := range optionalIfaces {
+	var required []string
+	for _, name := range interceptIfaces {
 		iface := lookupInterface(wlPkg, name)
 		if iface == nil {
 			return nil // wl package shape changed; the build would have caught real breakage
 		}
-		ifaces[name] = iface
+		for i := 0; i < iface.NumMethods(); i++ {
+			required = append(required, iface.Method(i).Name())
+		}
 	}
 
 	var diags []Diagnostic
@@ -68,16 +71,23 @@ func runDecorator(p *Package, w *World) []Diagnostic {
 					continue
 				}
 				st, ok := named.Underlying().(*types.Struct)
-				if !ok || !embedsScheme(st) || !declaresWrite(named) {
+				if !ok || !embedsScheme(st) {
 					continue
 				}
-				ptr := types.NewPointer(named)
-				for _, name := range optionalIfaces {
-					if types.Implements(named, ifaces[name]) || types.Implements(ptr, ifaces[name]) {
-						continue
+				declared := declaredMethods(named)
+				if !declared["Write"] {
+					continue
+				}
+				name := named.Obj().Name()
+				for _, m := range required {
+					if !declared[m] {
+						diags = report(diags, p, w, decoratorAnalyzer, obj.Pos(),
+							"decorator %s embeds wl.Scheme and overrides Write but does not declare %s; the embedded scheme's method serves that path without the decorator's interception", name, m)
 					}
+				}
+				if declared["Read"] && !declared["ReadN"] {
 					diags = report(diags, p, w, decoratorAnalyzer, obj.Pos(),
-						"decorator %s embeds wl.Scheme and overrides Write but does not implement wl.%s; the embedded scheme's method serves that path without the decorator's interception", named.Obj().Name(), name)
+						"decorator %s overrides Read but does not declare ReadN; the embedded scheme's ReadN serves bulk reads without the decorator's interception", name)
 				}
 			}
 		}
@@ -97,14 +107,13 @@ func embedsScheme(st *types.Struct) bool {
 	return false
 }
 
-// declaresWrite reports whether the named type declares its own Write method
-// (promoted methods from the embedded scheme do not count — a type that
-// merely forwards everything interposes on nothing).
-func declaresWrite(named *types.Named) bool {
+// declaredMethods returns the names of the methods the named type declares
+// itself, on either receiver. Methods promoted from the embedded scheme do
+// not count: a method the decorator does not declare interposes on nothing.
+func declaredMethods(named *types.Named) map[string]bool {
+	m := make(map[string]bool, named.NumMethods())
 	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == "Write" {
-			return true
-		}
+		m[named.Method(i).Name()] = true
 	}
-	return false
+	return m
 }

@@ -13,9 +13,7 @@
 //     (time.Now/time.Since outside internal/clock), draw from the global
 //     math/rand source, or leak map iteration order into results.
 //   - registry: every internal/wl/<name> package exporting a scheme must
-//     register it with wl.Register, and every bulk writer
-//     (wl.RunWriter/wl.SweepWriter) must expose wl.Checker — bulk shortcuts
-//     are only trusted when they can be invariant-checked.
+//     register it with wl.Register.
 //   - cost: call sites must not silently discard a returned wl.Cost or
 //     error in non-test code; dropped costs corrupt Figure 9, dropped
 //     errors hide failures.
@@ -27,10 +25,10 @@
 //     comment explaining its exemption — unpersisted mutable state breaks
 //     the bit-identical-resume guarantee.
 //   - decorator: a named struct type embedding the wl.Scheme interface that
-//     declares its own Write must implement every optional capability
-//     interface (wl.Checker/wl.Snapshotter/wl.RunWriter/wl.SweepWriter) —
-//     otherwise the embedded scheme's promoted methods serve those paths
-//     without the decorator's interception.
+//     declares its own Write must declare CheckInvariants, Snapshot,
+//     Restore, WriteRun and WriteSweep itself, and ReadN if it declares
+//     Read — otherwise the embedded scheme's promoted methods serve those
+//     paths without the decorator's interception.
 //   - concurrency: goroutines must have a reachable join (WaitGroup,
 //     done-channel), go-closures must not capture their loop variable, and
 //     fields annotated //twl:guardedby must only be touched inside the

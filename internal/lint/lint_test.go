@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite the golden files from current a
 
 // fixtures maps each analyzer to its fixture package. The synthetic import
 // paths matter: determinism only covers twl/internal/..., and registry's
-// rule 1 only engages for packages directly under twl/internal/wl/.
+// rule only engages for packages directly under twl/internal/wl/.
 var fixtures = []struct {
 	analyzer *Analyzer
 	dir      string

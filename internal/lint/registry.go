@@ -6,38 +6,29 @@ import (
 	"strings"
 )
 
-// registryAnalyzer enforces the scheme-registry contracts:
-//
-//  1. Every twl/internal/wl/<name> package that exports a type implementing
-//     wl.Scheme must register it (wl.Register, or Registry.Add/MustAdd) —
-//     an unregistered scheme compiles but is unreachable from the cmd tools
-//     and the experiment grids, which select schemes by name.
-//  2. Every concrete type implementing the bulk-write fast paths
-//     (wl.RunWriter or wl.SweepWriter) must also implement wl.Checker:
-//     the fast-forward engine's shortcuts are only trusted because paranoid
-//     mode and the differential tests can invariant-check them
-//     (DESIGN.md "Run-length fast-forward").
+// registryAnalyzer enforces the scheme-registry contract: every
+// twl/internal/wl/<name> package that exports a type implementing wl.Scheme
+// must register it (wl.Register, or Registry.Add/MustAdd) — an unregistered
+// scheme compiles but is unreachable from the cmd tools and the experiment
+// grids, which select schemes by name. (That every scheme's bulk writes are
+// invariant-checkable needs no rule: wl.Scheme carries CheckInvariants.)
 var registryAnalyzer = &Analyzer{
 	Name: "registry",
-	Doc:  "schemes must be registered; bulk writers must be invariant-checkable",
+	Doc:  "schemes must be registered",
 }
 
 func init() { registryAnalyzer.Run = runRegistry }
 
 func runRegistry(p *Package, w *World) []Diagnostic {
-	wlPkg := w.wlContract(p)
-	scheme := lookupInterface(wlPkg, "Scheme")
-	checker := lookupInterface(wlPkg, "Checker")
-	runWriter := lookupInterface(wlPkg, "RunWriter")
-	sweepWriter := lookupInterface(wlPkg, "SweepWriter")
-	if scheme == nil || checker == nil || runWriter == nil || sweepWriter == nil {
+	if !isSchemePkg(p.Path) || callsRegister(p) {
+		return nil
+	}
+	scheme := lookupInterface(w.wlContract(p), "Scheme")
+	if scheme == nil {
 		return nil // wl package shape changed; the build would have caught real breakage
 	}
 
 	var diags []Diagnostic
-	schemePkg := isSchemePkg(p.Path)
-	registers := schemePkg && callsRegister(p)
-
 	scope := p.Types.Scope()
 	for _, name := range scope.Names() {
 		obj, ok := scope.Lookup(name).(*types.TypeName)
@@ -51,19 +42,7 @@ func runRegistry(p *Package, w *World) []Diagnostic {
 		if _, isIface := named.Underlying().(*types.Interface); isIface {
 			continue
 		}
-		ptr := types.NewPointer(named)
-
-		// Rule 2: bulk writers expose invariant checking.
-		implBulk := types.Implements(named, runWriter) || types.Implements(ptr, runWriter) ||
-			types.Implements(named, sweepWriter) || types.Implements(ptr, sweepWriter)
-		if implBulk && !types.Implements(named, checker) && !types.Implements(ptr, checker) {
-			diags = report(diags, p, w, registryAnalyzer, obj.Pos(),
-				"%s implements a bulk-write fast path (wl.RunWriter/wl.SweepWriter) but not wl.Checker; bulk shortcuts must be invariant-checkable", name)
-		}
-
-		// Rule 1: exported schemes in scheme packages must be registered.
-		if schemePkg && obj.Exported() && !registers &&
-			(types.Implements(named, scheme) || types.Implements(ptr, scheme)) {
+		if obj.Exported() && (types.Implements(named, scheme) || types.Implements(types.NewPointer(named), scheme)) {
 			diags = report(diags, p, w, registryAnalyzer, obj.Pos(),
 				"package %s exports scheme %s but never calls wl.Register; unregistered schemes are unreachable by name", p.Path, name)
 		}

@@ -1,27 +1,14 @@
 // Package fixreg exercises the registry analyzer. Its synthetic import path
-// places it under twl/internal/wl/, so rule 1 (exported schemes must call
-// wl.Register) applies alongside rule 2 (bulk writers must be
-// invariant-checkable).
+// places it under twl/internal/wl/, so exported schemes must call
+// wl.Register.
 package fixreg
 
 import "twl/internal/wl"
 
 // Orphan implements wl.Scheme via embedding, but the package never calls
-// wl.Register: rule 1 fires.
+// wl.Register: the rule fires.
 type Orphan struct{ wl.Scheme }
 
-// NoCheck implements the RunWriter bulk fast path without wl.Checker:
-// rule 2 fires.
-type NoCheck struct{}
-
-func (NoCheck) WriteRun(la int, tag uint64, n int) (wl.Cost, int) { return wl.Cost{}, n }
-
-// Audited implements the sweep fast path and wl.Checker: clean.
-type Audited struct{}
-
-func (Audited) WriteSweep(la int, tag uint64, n int) (wl.Cost, int) { return wl.Cost{}, n }
-func (Audited) CheckInvariants() error                              { return nil }
-
-// hidden implements wl.Scheme but is unexported; rule 1 polices only the
+// hidden implements wl.Scheme but is unexported; the rule polices only the
 // exported API, so this is clean.
 type hidden struct{ wl.Scheme }

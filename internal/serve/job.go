@@ -12,8 +12,9 @@ import (
 )
 
 // JobSpec is the wire format of one experiment grid: the cross product of
-// schemes × workloads × seeds over one system configuration. Zero-valued
-// system fields take the SmallSystem defaults, so a minimal job is just
+// schemes × workloads × seeds over one system configuration, at most
+// maxJobCells cells. Zero-valued system fields take the SmallSystem
+// defaults, so a minimal job is just
 // {"schemes": ["TWL_swp"], "attacks": ["repeat"]}.
 type JobSpec struct {
 	// Schemes lists the wear-leveling schemes (SchemeNames vocabulary,
@@ -42,6 +43,12 @@ type JobSpec struct {
 	// endurance).
 	MaxDemandWrites uint64 `json:"max_demand_writes,omitempty"`
 }
+
+// maxJobCells bounds the cells one job may expand to: 65 times the largest
+// campaign in current use (1000 cells), yet small enough that a hostile
+// spec within the 1 MiB body limit cannot make Submit build and persist
+// hundreds of thousands of cells.
+const maxJobCells = 1 << 16
 
 // dedupe drops later duplicates from a grid axis, preserving first-seen
 // order. Axes must be duplicate-free after canonicalization so one job
@@ -100,6 +107,13 @@ func (sp *JobSpec) normalize() error {
 		sp.Seeds = []uint64{1}
 	}
 	sp.Seeds = dedupe(sp.Seeds)
+	// After dedupe a grid has at most a dozen schemes and a score of
+	// workloads, so n cannot overflow; bounding the seeds by division keeps
+	// the product from overflowing too.
+	if n := len(sp.Schemes) * (len(sp.Attacks) + len(sp.Benches)); len(sp.Seeds) > maxJobCells/n {
+		return fmt.Errorf("serve: job of %d schemes × %d workloads × %d seeds exceeds %d cells: %w",
+			len(sp.Schemes), len(sp.Attacks)+len(sp.Benches), len(sp.Seeds), maxJobCells, twl.ErrBadConfig)
+	}
 	def := twl.SmallSystem(0)
 	if sp.Pages == 0 {
 		sp.Pages = def.Pages

@@ -49,26 +49,14 @@ type CheckpointConfig struct {
 const DefaultCheckpointEvery = 1 << 22
 
 // Source snapshot support. The wrapper types delegate to the wrapped
-// stream's own wl.Snapshotter implementation, so RunLifetime can checkpoint
-// any source whose underlying generator opts in.
+// stream's or generator's own Snapshot and Restore, so every source this
+// package builds checkpoints.
 
-// Snapshot implements wl.Snapshotter when the wrapped attack stream does.
-func (a attackSource) Snapshot(w io.Writer) error {
-	sn, ok := a.s.(wl.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: attack stream %T does not support checkpointing", a.s)
-	}
-	return sn.Snapshot(w)
-}
+// Snapshot implements wl.Snapshotter via the attack stream.
+func (a attackSource) Snapshot(w io.Writer) error { return a.s.Snapshot(w) }
 
-// Restore implements wl.Snapshotter when the wrapped attack stream does.
-func (a attackSource) Restore(r io.Reader) error {
-	sn, ok := a.s.(wl.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: attack stream %T does not support checkpointing", a.s)
-	}
-	return sn.Restore(r)
-}
+// Restore implements wl.Snapshotter via the attack stream.
+func (a attackSource) Restore(r io.Reader) error { return a.s.Restore(r) }
 
 // Snapshot implements wl.Snapshotter via the synthetic generator.
 func (w workloadSource) Snapshot(wr io.Writer) error { return w.g.Snapshot(wr) }
@@ -99,13 +87,11 @@ func (r *replaySource) Restore(rd io.Reader) error {
 }
 
 // validateCheckpointConfig fails fast — before any request is served — when
-// a checkpointed run involves a scheme or source that cannot be serialized.
-func validateCheckpointConfig(s wl.Scheme, src Source, ckpt *CheckpointConfig) error {
+// a checkpointed run has no path or a source that cannot be serialized (a
+// caller-built Source need not checkpoint; every scheme does).
+func validateCheckpointConfig(src Source, ckpt *CheckpointConfig) error {
 	if ckpt.Path == "" {
 		return errors.New("sim: CheckpointConfig needs a path")
-	}
-	if _, ok := s.(wl.Snapshotter); !ok {
-		return fmt.Errorf("sim: scheme %s does not support checkpointing", s.Name())
 	}
 	if _, ok := src.(wl.Snapshotter); !ok {
 		return fmt.Errorf("sim: source %T does not support checkpointing", src)
@@ -200,7 +186,7 @@ func (l *lifetimeState) encodeCheckpoint(sw *snap.Writer) error {
 		return err
 	}
 	sw.Tag("scheme")
-	if err := l.s.(wl.Snapshotter).Snapshot(sw); err != nil {
+	if err := l.s.Snapshot(sw); err != nil {
 		return err
 	}
 	sw.Tag("source")
@@ -273,7 +259,7 @@ func (l *lifetimeState) restoreCheckpoint() error {
 			return err
 		}
 		sr.Expect("scheme")
-		if err := l.s.(wl.Snapshotter).Restore(sr); err != nil {
+		if err := l.s.Restore(sr); err != nil {
 			return err
 		}
 		sr.Expect("source")

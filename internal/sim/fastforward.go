@@ -16,7 +16,6 @@ type lifetimeState struct {
 	s          wl.Scheme
 	dev        *pcm.Device
 	timing     pcm.Timing
-	checker    wl.Checker
 	capRep     wl.CapacityReporter
 	checkEvery uint64
 	metrics    *lifetimeMetrics
@@ -73,7 +72,7 @@ type lifetimeState struct {
 }
 
 // perRequestLoop is the baseline path: one Source.Next, one Write/Read per
-// iteration. The nil-metrics/nil-trace/nil-checker case runs a bare loop
+// iteration. The no-metrics/no-trace/no-check case runs a bare loop
 // with those branches hoisted out entirely.
 func (l *lifetimeState) perRequestLoop(src Source) error {
 	if l.metrics == nil && l.traceEvery == 0 && l.checkEvery == 0 && l.ckptEvery == 0 && l.stop == nil {
@@ -126,22 +125,19 @@ func (l *lifetimeState) perRequestBare(src Source) error {
 }
 
 // bulkLoop is the fast-forward path: the source emits runs (same address) or
-// sweeps (consecutive addresses), and the scheme — when it implements the
-// matching writer interface — absorbs the event-free prefix of each run in
-// bulk. Event writes (absorbed == 0) and schemes without the interface are
-// served through the identical per-request accounting as perRequestLoop, so
-// results are bit-identical either way.
+// sweeps (consecutive addresses), and the scheme absorbs the event-free
+// prefix of each run in bulk. Event writes (absorbed == 0), and sweeps over a
+// scheme without a sweep fast path, are served through the identical
+// per-request accounting as perRequestLoop, so results are bit-identical
+// either way.
 //
 //twl:hotpath
 func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sweep bool) error {
-	var runWriter wl.RunWriter
 	var sweepWriter wl.SweepWriter
 	if sweep {
 		sweepWriter, _ = l.s.(wl.SweepWriter)
-	} else {
-		runWriter, _ = l.s.(wl.RunWriter)
 	}
-	hasWriter := runWriter != nil || sweepWriter != nil
+	hasWriter := !sweep || sweepWriter != nil
 	if hasWriter && l.reg != nil {
 		l.initFFMetrics()
 	}
@@ -175,7 +171,7 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 				if sweep {
 					cost, absorbed = sweepWriter.WriteSweep(l.runAddr+l.runOff, l.demand, chunk)
 				} else {
-					cost, absorbed = runWriter.WriteRun(l.runAddr, l.demand, chunk)
+					cost, absorbed = l.s.WriteRun(l.runAddr, l.demand, chunk)
 				}
 				if absorbed > 0 {
 					l.accountBulk(cost, absorbed)
@@ -203,8 +199,8 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 					continue
 				}
 			}
-			// Event write, or the scheme has no fast path: serve one
-			// request exactly as the per-request loop would.
+			// Event write, or a sweep the scheme has no fast path for:
+			// serve one request exactly as the per-request loop would.
 			if l.ffEvents != nil {
 				l.ffEvents.Inc()
 			}
@@ -381,7 +377,7 @@ func (l *lifetimeState) readN(n int) {
 // configured cadence.
 func (l *lifetimeState) checkAt() error {
 	if l.checkEvery > 0 && l.demand%l.checkEvery == 0 {
-		if err := l.checker.CheckInvariants(); err != nil {
+		if err := l.s.CheckInvariants(); err != nil {
 			return fmt.Errorf("sim: invariant violation after %d writes: %w", l.demand, err)
 		}
 	}

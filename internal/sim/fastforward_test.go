@@ -23,27 +23,11 @@ import (
 	_ "twl/internal/wl/startgap"
 )
 
-// runWriters lists the schemes that must implement the fast-forward writer
-// interfaces; every other registered scheme must not, and takes the
-// per-request fallback. The deterministic schemes compute their event
-// horizon directly; TWL (all pairings), WRL, OD3P and RBSG are event-sparse
-// — RNG draws, pairings, gap moves, shuffles and phase transitions only
-// fire at countable boundaries — so they absorb the stretches between
-// events and fall back for the events themselves. With OD3P and RBSG on
-// board the registry has no per-write-only scheme left.
-var runWriters = map[string]bool{
-	"NOWL":     true,
-	"StartGap": true,
-	"BWL":      true,
-	"SR":       true,
-	"SR2":      true,
-	"TWL_swp":  true,
-	"TWL_ap":   true,
-	"TWL_rand": true,
-	"WRL":      true,
-	"OD3P":     true,
-	"RBSG":     true,
-}
+// sweepless lists the registered schemes without a sweep fast path (BWL,
+// whose per-address Bloom-filter walk has none); their sweeps take the
+// per-request fallback. Every other scheme must implement wl.SweepWriter;
+// wl.RunWriter is part of wl.Scheme.
+var sweepless = map[string]bool{"BWL": true}
 
 const (
 	diffPages     = 256
@@ -250,9 +234,8 @@ func diffCompare(t *testing.T, build schemeFactory, kind string) {
 	}
 }
 
-// TestFastForwardImplementers pins which schemes opt into the fast path, so
-// an accidental interface change (or a per-write-probabilistic scheme
-// gaining a bogus WriteRun) fails loudly.
+// TestFastForwardImplementers pins which schemes have the sweep fast path,
+// so an accidental interface change fails loudly.
 func TestFastForwardImplementers(t *testing.T) {
 	for _, name := range wl.Names() {
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
@@ -260,12 +243,8 @@ func TestFastForwardImplementers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, isRun := s.(wl.RunWriter)
-		if isRun != runWriters[name] {
-			t.Errorf("%s: RunWriter = %v, want %v", name, isRun, runWriters[name])
-		}
-		if _, isSweep := s.(wl.SweepWriter); isSweep && !runWriters[name] {
-			t.Errorf("%s: implements SweepWriter but is not a fast-forward scheme", name)
+		if _, isSweep := s.(wl.SweepWriter); isSweep == sweepless[name] {
+			t.Errorf("%s: SweepWriter = %v, want %v", name, isSweep, !sweepless[name])
 		}
 	}
 }
@@ -274,9 +253,9 @@ func TestFastForwardImplementers(t *testing.T) {
 // repeat attack, the scan attack, a bursty RLE trace replay, the
 // feedback-driven inconsistent attack and a PARSEC workload through both
 // the fast paths and the per-request path, and requires bit-identical
-// observables (see diffCompare). With OD3P and RBSG implementing the
-// writers the matrix has no per-write-only cell left; the inconsistent
-// column additionally proves that deferred feedback delivery
+// observables (see diffCompare). Every scheme has WriteRun, so only BWL's
+// scan cell runs wholly through the bulk loop's per-write branch; the
+// inconsistent column additionally proves that deferred feedback delivery
 // (sim.FeedbackObserver) keeps the attacker's swap-phase detection — and
 // hence every reversal — bit-aligned with the serial stream.
 func TestFastForwardDifferential(t *testing.T) {

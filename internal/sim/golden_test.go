@@ -50,13 +50,9 @@ func goldenRun(t *testing.T, build schemeFactory, kind string) goldenCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, ok := s.(wl.Snapshotter)
-	if !ok {
-		t.Fatalf("%s does not implement wl.Snapshotter", s.Name())
-	}
 	return goldenCell{
 		Result: fmt.Sprintf("%+v", res),
-		Scheme: digest(t, func(w *bytes.Buffer) error { return sn.Snapshot(w) }),
+		Scheme: digest(t, func(w *bytes.Buffer) error { return s.Snapshot(w) }),
 		Device: digest(t, func(w *bytes.Buffer) error { return dev.Snapshot(w) }),
 	}
 }

@@ -104,7 +104,7 @@ func TestReadNContract(t *testing.T) {
 func stateBytes(t *testing.T, s wl.Scheme) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.(wl.Snapshotter).Snapshot(&buf); err != nil {
+	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Device().Snapshot(&buf); err != nil {

@@ -268,8 +268,8 @@ func TestRetireCheckpointResume(t *testing.T) {
 }
 
 // TestDecoratorStackingSnapshots: for every registered scheme and both
-// stacking orders, the composite keeps exactly the bare scheme's optional
-// interfaces, and a mid-traffic snapshot restores into a fresh composite
+// stacking orders, the composite keeps the bare scheme's sweep fast path
+// exactly, and a mid-traffic snapshot restores into a fresh composite
 // byte-identically.
 func TestDecoratorStackingSnapshots(t *testing.T) {
 	for _, name := range wl.Names() {
@@ -282,19 +282,7 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 				}
 				reg := obs.NewRegistry()
 				s := buildRetired(t, name, order, reg)
-				_, bareCk := bare.(wl.Checker)
-				_, bareSn := bare.(wl.Snapshotter)
-				_, bareRW := bare.(wl.RunWriter)
 				_, bareSW := bare.(wl.SweepWriter)
-				if _, ok := s.(wl.Checker); ok != bareCk {
-					t.Errorf("Checker: composite %v, bare %v", ok, bareCk)
-				}
-				if _, ok := s.(wl.Snapshotter); ok != bareSn {
-					t.Errorf("Snapshotter: composite %v, bare %v", ok, bareSn)
-				}
-				if _, ok := s.(wl.RunWriter); ok != bareRW {
-					t.Errorf("RunWriter: composite %v, bare %v", ok, bareRW)
-				}
 				if _, ok := s.(wl.SweepWriter); ok != bareSW {
 					t.Errorf("SweepWriter: composite %v, bare %v", ok, bareSW)
 				}
@@ -306,25 +294,19 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 				for i := 0; i < 5000; i++ {
 					s.Write(i*13%n, uint64(i))
 				}
-				if ck, ok := s.(wl.Checker); ok {
-					if err := ck.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sn, ok := s.(wl.Snapshotter)
-				if !ok {
-					return
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := sn.Snapshot(&buf); err != nil {
+				if err := s.Snapshot(&buf); err != nil {
 					t.Fatal(err)
 				}
 				s2 := buildRetired(t, name, order, obs.NewRegistry())
-				if err := s2.(wl.Snapshotter).Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatal(err)
 				}
 				var buf2 bytes.Buffer
-				if err := s2.(wl.Snapshotter).Snapshot(&buf2); err != nil {
+				if err := s2.Snapshot(&buf2); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -335,19 +317,14 @@ func TestDecoratorStackingSnapshots(t *testing.T) {
 	}
 }
 
-// TestInstrumentedStartGapBulkPath: the instrumentation decorator must not
-// cost StartGap its RunWriter — an instrumented run still absorbs bulk
-// chunks (the regression that motivated wl.Wrap: the old Instrument dropped
-// every optional interface except Checker, silently forcing the slow path).
+// TestInstrumentedStartGapBulkPath: an instrumented run still absorbs bulk
+// chunks, and the instrumentation counts every absorbed write.
 func TestInstrumentedStartGapBulkPath(t *testing.T) {
 	dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
 	reg := obs.NewRegistry()
 	s, err := wl.Default.Build("StartGap", dev, diffSeed, wl.WithInstrumentation(reg))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := s.(wl.RunWriter); !ok {
-		t.Fatal("instrumented StartGap lost wl.RunWriter")
 	}
 	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * dev.TotalEndurance(),

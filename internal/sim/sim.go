@@ -41,9 +41,8 @@ type Source interface {
 // per-request one) — unless they also implement FeedbackObserver, which
 // restores per-request feedback delivery — and must treat all n requests as
 // consumed even if the run ends early (device failure or the demand cap).
-// RunLifetime consumes runs through wl.RunWriter when the scheme opts in,
-// and falls back to per-request Write/Read calls — bit-identically — when
-// it doesn't.
+// RunLifetime consumes write runs through the scheme's WriteRun and serves
+// the event writes it declines as per-request Write calls, bit-identically.
 type RunSource interface {
 	Source
 	NextRun(fb attack.Feedback) (addr int, write bool, n int)
@@ -250,9 +249,9 @@ type LifetimeConfig struct {
 	// for benchmarking the paths against each other.
 	DisableFastForward bool
 	// Checkpoint, when non-nil, periodically serializes the whole run state
-	// to a file and/or resumes from one; see CheckpointConfig. The scheme
-	// and source must implement wl.Snapshotter or RunLifetime fails before
-	// serving any request.
+	// to a file and/or resumes from one; see CheckpointConfig. The source
+	// must implement wl.Snapshotter (every scheme does) or RunLifetime fails
+	// before serving any request.
 	Checkpoint *CheckpointConfig
 	// Stop, when non-nil, is polled at the checkpoint cadence (or
 	// DefaultCheckpointEvery when no checkpoint is configured); when it
@@ -409,11 +408,10 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		}
 	}
 	timing := dev.Timing()
-	checker, _ := s.(wl.Checker)
 	capRep, _ := wl.AsCapacityReporter(s)
 
 	if cfg.Checkpoint != nil {
-		if err := validateCheckpointConfig(s, src, cfg.Checkpoint); err != nil {
+		if err := validateCheckpointConfig(src, cfg.Checkpoint); err != nil {
 			return LifetimeResult{}, err
 		}
 	}
@@ -431,7 +429,6 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		s:          s,
 		dev:        dev,
 		timing:     timing,
-		checker:    checker,
 		capRep:     capRep,
 		checkEvery: cfg.CheckEvery,
 		metrics:    metrics,
@@ -441,9 +438,6 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 		limit:      limit,
 		src:        src,
 		res:        LifetimeResult{Scheme: s.Name(), FailedPage: -1},
-	}
-	if checker == nil {
-		l.checkEvery = 0
 	}
 
 	resuming := false
@@ -485,8 +479,8 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 	}
 
 	// Fast-forward when the source can emit runs/sweeps; the bulk loop
-	// serves per-request (bit-identically) for schemes that don't opt in.
-	// A WriteSource batches the reads in front of each write. The
+	// serves a sweep per-request (bit-identically) over a scheme without a
+	// sweep fast path. A WriteSource batches the reads in front of each write. The
 	// per-request loop remains for plain sources and for callers that pin
 	// the baseline path.
 	var err error

@@ -36,9 +36,9 @@ type CapacityStats struct {
 }
 
 // CapacityReporter is implemented by fault-tolerance decorators that retire
-// failed pages. It is a decorator-specific extension, not one of the
-// preserved optional interfaces: find it with AsCapacityReporter, which
-// walks the Unwrap chain of a decorator stack.
+// failed pages. It is a decorator-specific extension that Wrap composites
+// hide: find it with AsCapacityReporter, which walks the Unwrap chain of a
+// decorator stack.
 type CapacityReporter interface {
 	CapacityStats() CapacityStats
 }

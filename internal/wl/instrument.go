@@ -13,13 +13,12 @@ import (
 // histogram, all labeled with the scheme name. Every baseline gets metrics
 // for free — no scheme needs its own instrumentation code.
 //
-// The wrapper is built with Wrap, so it preserves every optional interface
-// the scheme implements: paranoid-mode invariant checks (Checker), the bulk
-// fast paths (RunWriter/SweepWriter — absorbed writes are accounted in the
-// same counters the per-request path uses, so both paths report identical
-// metrics), and checkpointing (Snapshotter — the wrapper persists its own
-// counter state ahead of the scheme's, so a resumed run's metrics continue
-// where the checkpointed run left off).
+// The wrapper is built with Wrap, so it keeps the scheme's sweep fast path
+// exactly when the scheme has one. The bulk fast paths account absorbed
+// writes in the same counters the per-request path uses, so both paths
+// report identical metrics, and a checkpoint persists the wrapper's counter
+// state ahead of the scheme's, so a resumed run's metrics continue where the
+// checkpointed run left off.
 func Instrument(s Scheme, reg *obs.Registry) Scheme {
 	label := obs.L("scheme", s.Name())
 	reg.Help("twl_scheme_requests_total", "logical requests served by the scheme, by op")
@@ -37,9 +36,8 @@ func Instrument(s Scheme, reg *obs.Registry) Scheme {
 }
 
 // instrumented decorates a Scheme with metric recording. Wrap exposes its
-// optional-interface methods only when the wrapped scheme has the matching
-// capability, so the bulk and snapshot methods may assert on w.Scheme
-// unconditionally.
+// WriteSweep only when the wrapped scheme has a sweep fast path, so that
+// method may assert on w.Scheme unconditionally.
 type instrumented struct {
 	Scheme             // snap: wrapped scheme; checkpointed by its own Snapshot call below
 	timing  pcm.Timing // snap: construction input
@@ -85,7 +83,7 @@ func (w *instrumented) record(cost Cost) {
 //
 //twl:hotpath
 func (w *instrumented) WriteRun(la int, tag uint64, n int) (Cost, int) {
-	cost, absorbed := w.Scheme.(RunWriter).WriteRun(la, tag, n)
+	cost, absorbed := w.Scheme.WriteRun(la, tag, n)
 	w.recordBulk(cost, absorbed, w.writes)
 	return cost, absorbed
 }
@@ -110,7 +108,7 @@ func (w *instrumented) recordBulk(cost Cost, absorbed int, op *obs.Counter) {
 
 // CheckInvariants forwards paranoid-mode checks to the wrapped scheme.
 func (w *instrumented) CheckInvariants() error {
-	return w.Scheme.(Checker).CheckInvariants()
+	return w.Scheme.CheckInvariants()
 }
 
 // Snapshot persists the wrapper's counter values ahead of the wrapped
@@ -131,7 +129,7 @@ func (w *instrumented) Snapshot(out io.Writer) error {
 	if err := sw.Err(); err != nil {
 		return err
 	}
-	return w.Scheme.(Snapshotter).Snapshot(out)
+	return w.Scheme.Snapshot(out)
 }
 
 // Restore loads counter values written by Snapshot into the (freshly
@@ -157,5 +155,5 @@ func (w *instrumented) Restore(in io.Reader) error {
 	if err := w.latency.AddSnapshot(hs); err != nil {
 		return err
 	}
-	return w.Scheme.(Snapshotter).Restore(in)
+	return w.Scheme.Restore(in)
 }

@@ -45,23 +45,12 @@ func TestInstrumentRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestInstrumentPreservesChecker: the instrumented scheme's invariant check
+// delegates to the original.
 func TestInstrumentPreservesChecker(t *testing.T) {
 	dev := testDevice(t, 8)
-	reg := obs.NewRegistry()
-
-	// A checker scheme stays a checker, delegating to the original.
-	s := Instrument(&blockyScheme{fakeScheme: fakeScheme{name: "C", dev: dev}}, reg)
-	c, ok := s.(Checker)
-	if !ok {
-		t.Fatal("instrumented checker scheme lost the Checker interface")
-	}
-	if err := c.CheckInvariants(); err == nil || err.Error() != "checked" {
+	s := Instrument(&blockyScheme{fakeScheme: fakeScheme{name: "C", dev: dev}}, obs.NewRegistry())
+	if err := s.CheckInvariants(); err == nil || err.Error() != "checked" {
 		t.Fatalf("CheckInvariants not delegated: %v", err)
-	}
-
-	// A non-checker scheme must NOT grow a fake Checker.
-	s2 := Instrument(&fakeScheme{name: "N", dev: dev}, reg)
-	if _, ok := s2.(Checker); ok {
-		t.Fatal("instrumenting a non-checker scheme fabricated a Checker")
 	}
 }

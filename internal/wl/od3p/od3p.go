@@ -85,8 +85,6 @@ func New(dev *pcm.Device, cfg Config) (*Scheme, error) {
 }
 
 var _ wl.Scheme = (*Scheme)(nil)
-var _ wl.Checker = (*Scheme)(nil)
-var _ wl.RunWriter = (*Scheme)(nil)
 var _ wl.SweepWriter = (*Scheme)(nil)
 
 // Name implements wl.Scheme.

@@ -61,7 +61,7 @@ func WithRetirement(cfg RetireConfig) Option {
 }
 
 // WithDecorator applies an arbitrary wrapper; wrap should use Wrap so the
-// result preserves the scheme's optional interfaces.
+// result keeps the scheme's sweep fast path exactly.
 func WithDecorator(wrap func(Scheme) (Scheme, error)) Option {
 	return func(o *buildOptions) error {
 		if wrap == nil {

@@ -95,8 +95,6 @@ type Scheme struct {
 }
 
 var _ wl.Scheme = (*Scheme)(nil)
-var _ wl.Checker = (*Scheme)(nil)
-var _ wl.RunWriter = (*Scheme)(nil)
 var _ wl.SweepWriter = (*Scheme)(nil)
 
 // New builds the scheme over dev.

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -28,12 +29,16 @@ type fakeScheme struct {
 	dev  *pcm.Device
 }
 
-func (f *fakeScheme) Name() string            { return f.name }
-func (f *fakeScheme) Write(int, uint64) Cost  { return Cost{DeviceWrites: 1} }
-func (f *fakeScheme) Read(int) (uint64, Cost) { return 0, Cost{DeviceReads: 1} }
-func (f *fakeScheme) ReadN(int) Cost          { return Cost{DeviceReads: 1} }
-func (f *fakeScheme) Stats() Stats            { return Stats{} }
-func (f *fakeScheme) Device() *pcm.Device     { return f.dev }
+func (f *fakeScheme) Name() string                          { return f.name }
+func (f *fakeScheme) Write(int, uint64) Cost                { return Cost{DeviceWrites: 1} }
+func (f *fakeScheme) Read(int) (uint64, Cost)               { return 0, Cost{DeviceReads: 1} }
+func (f *fakeScheme) ReadN(int) Cost                        { return Cost{DeviceReads: 1} }
+func (f *fakeScheme) Stats() Stats                          { return Stats{} }
+func (f *fakeScheme) Device() *pcm.Device                   { return f.dev }
+func (f *fakeScheme) CheckInvariants() error                { return nil }
+func (f *fakeScheme) Snapshot(io.Writer) error              { return nil }
+func (f *fakeScheme) Restore(io.Reader) error               { return nil }
+func (f *fakeScheme) WriteRun(int, uint64, int) (Cost, int) { return Cost{}, 0 }
 
 func fakeFactory(name string) Factory {
 	return func(dev *pcm.Device, seed uint64) (Scheme, error) {

@@ -9,8 +9,8 @@
 // has been retired (the device is declared dead at N% capacity loss).
 //
 // The decorator is scheme-agnostic: it composes with any registered scheme
-// through wl.Wrap, which preserves the scheme's optional interfaces — the
-// bulk fast paths keep running (failures surface through the same
+// through wl.Wrap, which keeps the scheme's sweep fast path — the bulk fast
+// paths keep running (failures surface through the same
 // clamp-at-failing-write contract), checkpoints include the retirement
 // state, and paranoid mode checks both the decorator's bookkeeping and the
 // scheme's own invariants. Retirement happens below the scheme's address
@@ -93,7 +93,7 @@ func (d *decorator) Write(la int, tag uint64) wl.Cost {
 //
 //twl:hotpath
 func (d *decorator) WriteRun(la int, tag uint64, n int) (wl.Cost, int) {
-	cost, absorbed := d.Scheme.(wl.RunWriter).WriteRun(la, tag, n)
+	cost, absorbed := d.Scheme.WriteRun(la, tag, n)
 	if d.dev.FailedPages() > d.handled {
 		d.onFailures()
 	}
@@ -212,10 +212,7 @@ func (d *decorator) CheckInvariants() error {
 	if serving != d.retired {
 		return fmt.Errorf("retire: %d spares in service, %d pages retired", serving, d.retired)
 	}
-	if c, ok := d.Scheme.(wl.Checker); ok {
-		return c.CheckInvariants()
-	}
-	return nil
+	return d.Scheme.CheckInvariants()
 }
 
 // Snapshot persists the retirement state ahead of the wrapped scheme's.
@@ -236,7 +233,7 @@ func (d *decorator) Snapshot(w io.Writer) error {
 	if err := sw.Err(); err != nil {
 		return err
 	}
-	return d.Scheme.(wl.Snapshotter).Snapshot(w)
+	return d.Scheme.Snapshot(w)
 }
 
 // Restore loads state written by Snapshot, then restores the wrapped
@@ -267,5 +264,5 @@ func (d *decorator) Restore(r io.Reader) error {
 	if err := sr.Err(); err != nil {
 		return err
 	}
-	return d.Scheme.(wl.Snapshotter).Restore(r)
+	return d.Scheme.Restore(r)
 }

@@ -69,19 +69,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesPreserved: retire over NOWL keeps all four optional
-// interfaces and exposes the capacity reporter through the walk.
+// TestCapabilitiesPreserved: retire over NOWL keeps the sweep fast path
+// and exposes the capacity reporter through the walk.
 func TestCapabilitiesPreserved(t *testing.T) {
 	s := retired(t, spareDevice(t, 4, 1, 10, 10), wl.RetireConfig{})
-	if _, ok := s.(wl.Checker); !ok {
-		t.Error("Checker lost")
-	}
-	if _, ok := s.(wl.Snapshotter); !ok {
-		t.Error("Snapshotter lost")
-	}
-	if _, ok := s.(wl.RunWriter); !ok {
-		t.Error("RunWriter lost")
-	}
 	if _, ok := s.(wl.SweepWriter); !ok {
 		t.Error("SweepWriter lost")
 	}
@@ -100,7 +91,6 @@ func TestCapabilitiesPreserved(t *testing.T) {
 func TestRetirementExtendsLifetime(t *testing.T) {
 	dev := spareDevice(t, 4, 2, 5, 50)
 	s := retired(t, dev, wl.RetireConfig{})
-	ck := s.(wl.Checker)
 
 	// Kill page 1: five writes reach its endurance.
 	for i := 0; i < 5; i++ {
@@ -115,7 +105,7 @@ func TestRetirementExtendsLifetime(t *testing.T) {
 	if v, _ := s.Read(1); v != 104 {
 		t.Fatalf("payload after retirement = %d, want 104", v)
 	}
-	if err := ck.CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	st := stats(t, s)
@@ -133,7 +123,7 @@ func TestRetirementExtendsLifetime(t *testing.T) {
 	if dev.Wear(1) != 5 || dev.Wear(4) != 30 {
 		t.Fatalf("wear dead=%d spare=%d", dev.Wear(1), dev.Wear(4))
 	}
-	if err := ck.CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +151,7 @@ func TestSpareChaining(t *testing.T) {
 	if len(st.Curve) != 2 || st.Curve[1] != (wl.CapacityPoint{DemandWrites: 7, Retired: 1, SparesUsed: 2}) {
 		t.Fatalf("curve = %+v", st.Curve)
 	}
-	if err := s.(wl.Checker).CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,7 +174,7 @@ func TestSpareExhaustion(t *testing.T) {
 	if !st.Exhausted || st.SparesUsed != 1 || st.Retired != 1 {
 		t.Fatalf("exhaustion stats: %+v", st)
 	}
-	if err := s.(wl.Checker).CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Further failures accumulate without panicking or acking.
@@ -219,7 +209,7 @@ func TestCapacityThreshold(t *testing.T) {
 	if !st.Exhausted || st.Retired != 2 || st.SparesUsed != 2 {
 		t.Fatalf("threshold stats: %+v", st)
 	}
-	if err := s.(wl.Checker).CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,17 +220,16 @@ func TestCapacityThreshold(t *testing.T) {
 func TestBulkPathsRetire(t *testing.T) {
 	dev := spareDevice(t, 4, 2, 10, 100)
 	s := retired(t, dev, wl.RetireConfig{})
-	rw := s.(wl.RunWriter)
 	sw := s.(wl.SweepWriter)
 
-	if _, absorbed := rw.WriteRun(1, 7, 15); absorbed != 10 {
+	if _, absorbed := s.WriteRun(1, 7, 15); absorbed != 10 {
 		t.Fatalf("WriteRun absorbed %d, want clamp at failing write 10", absorbed)
 	}
 	st := stats(t, s)
 	if len(st.Curve) != 1 || st.Curve[0].DemandWrites != 10 {
 		t.Fatalf("curve after bulk failure = %+v", st.Curve)
 	}
-	if _, absorbed := rw.WriteRun(1, 8, 5); absorbed != 5 {
+	if _, absorbed := s.WriteRun(1, 8, 5); absorbed != 5 {
 		t.Fatal("run after retirement did not absorb fully")
 	}
 	if dev.Wear(4) != 5 {
@@ -258,7 +247,7 @@ func TestBulkPathsRetire(t *testing.T) {
 	if st.Retired != 2 || st.SparesUsed != 2 {
 		t.Fatalf("stats after sweep failure: %+v", st)
 	}
-	if err := s.(wl.Checker).CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,7 +276,7 @@ func TestDataIntegrityThroughRetirement(t *testing.T) {
 			break
 		}
 		if op%50 == 0 {
-			if err := s.(wl.Checker).CheckInvariants(); err != nil {
+			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
 		}
@@ -312,7 +301,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s.Write(0, 99)
 
 	var schemeBuf, devBuf bytes.Buffer
-	if err := s.(wl.Snapshotter).Snapshot(&schemeBuf); err != nil {
+	if err := s.Snapshot(&schemeBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.Snapshot(&devBuf); err != nil {
@@ -323,10 +312,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := dev2.Restore(bytes.NewReader(devBuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.(wl.Snapshotter).Restore(bytes.NewReader(schemeBuf.Bytes())); err != nil {
+	if err := s2.Restore(bytes.NewReader(schemeBuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.(wl.Checker).CheckInvariants(); err != nil {
+	if err := s2.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	st, st2 := stats(t, s), stats(t, s2)
@@ -355,10 +344,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	a.Reset()
 	b.Reset()
-	if err := s.(wl.Snapshotter).Snapshot(&a); err != nil {
+	if err := s.Snapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.(wl.Snapshotter).Snapshot(&b); err != nil {
+	if err := s2.Snapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -92,7 +92,11 @@ func (s Stats) SwapWriteRatio() float64 {
 	return float64(s.SwapWrites) / float64(s.DemandWrites)
 }
 
-// Scheme is a wear-leveling scheme bound to a PCM device.
+// Scheme is a wear-leveling scheme bound to a PCM device. Besides the
+// request methods, every scheme checks its own invariants (Checker),
+// checkpoints bit-identically (Snapshotter) and fast-forwards same-address
+// write runs (RunWriter); the sweep fast path (SweepWriter) is the one
+// optional capability.
 type Scheme interface {
 	// Name identifies the scheme in reports ("NOWL", "SR", "BWL", "TWL_swp"…).
 	Name() string
@@ -115,18 +119,22 @@ type Scheme interface {
 	Stats() Stats
 	// Device returns the underlying PCM array.
 	Device() *pcm.Device
+
+	Checker
+	Snapshotter
+	RunWriter
 }
 
-// Checker is implemented by schemes that can verify their internal
-// invariants (mapping bijectivity, pairing involution). The simulator's
-// paranoid mode and the integration tests call it.
+// Checker verifies a scheme's internal invariants (mapping bijectivity,
+// pairing involution). The simulator's paranoid mode and the integration
+// tests call it.
 type Checker interface {
 	CheckInvariants() error
 }
 
-// Snapshotter is the optional checkpoint interface. A scheme (or any other
-// stateful simulation component) that implements it can be serialized into
-// a lifetime checkpoint and restored bit-identically.
+// Snapshotter is the checkpoint interface. A scheme, a request source or an
+// attack stream serializes its mutable state into a lifetime checkpoint and
+// restores it bit-identically.
 //
 // Contract:
 //
@@ -161,7 +169,7 @@ type MemoryReporter interface {
 // AsMemoryReporter finds the first MemoryReporter in a decorator stack,
 // probing each layer's body while walking Unwrap links from the outermost
 // layer inward (the same protocol as AsCapacityReporter — memory reporting
-// is an extension interface, not one of Wrap's preserved capabilities).
+// is an extension interface that Wrap composites hide).
 func AsMemoryReporter(s Scheme) (MemoryReporter, bool) {
 	for s != nil {
 		if r, ok := s.(MemoryReporter); ok {
@@ -179,9 +187,9 @@ func AsMemoryReporter(s Scheme) (MemoryReporter, bool) {
 	return nil, false
 }
 
-// RunWriter is the optional fast-forward interface for same-address write
-// runs. Schemes implement it by computing the distance to their next
-// internal event (gap move, refresh step, epoch rotation, toss-up, phase
+// RunWriter is the fast-forward interface for same-address write runs.
+// Schemes implement it by computing the distance to their next internal
+// event (gap move, refresh step, epoch rotation, toss-up, phase
 // transition, …) in O(1) and bulk-applying the event-free prefix of the
 // run.
 //
@@ -201,25 +209,26 @@ func AsMemoryReporter(s Scheme) (MemoryReporter, bool) {
 //     endurance, the run stops at (and including) that write — absorbed
 //     counts it, nothing after it is applied (pcm.Device.WriteN clamps).
 //   - RNG alignment: absorbed writes must consume zero RNG draws. A
-//     probabilistic scheme may implement RunWriter only when its randomness
-//     is event-sparse — every draw happens at an interval-triggered event
+//     probabilistic scheme can absorb writes only when its randomness is
+//     event-sparse — every draw happens at an interval-triggered event
 //     (TWL's toss-up and inter-pair swap, and likewise PS-WL/WoLFRaM-style
 //     randomized remapping) — so that the RNG stream stays bit-aligned with
 //     the per-write path: the fast path stops strictly before each
 //     RNG-bearing event and the caller fires it through a normal Write. A
-//     scheme that draws randomness on every write has no event-free prefix
-//     and must not implement RunWriter.
+//     scheme that draws randomness on every write has no event-free prefix;
+//     its WriteRun always returns absorbed == 0.
 type RunWriter interface {
 	WriteRun(la int, tag uint64, n int) (Cost, int)
 }
 
 // SweepWriter is the optional fast-forward interface for consecutive-address
-// write sweeps: the i-th write (0-indexed) of the sweep is Write(la+i, tag+i)
-// and la+n-1 must be a valid logical address. The contract is otherwise
-// identical to RunWriter — bit-identical state versus the sequential calls,
-// uniform unblocked per-write cost for the absorbed prefix, absorbed == 0
-// meaning "serve one write normally and retry", and mid-sweep failure
-// stopping the sweep at the write that wore a page out.
+// write sweeps, the one capability a Scheme may lack (BWL has none): the
+// i-th write (0-indexed) of the sweep is Write(la+i, tag+i) and la+n-1 must
+// be a valid logical address. The contract is otherwise identical to
+// RunWriter — bit-identical state versus the sequential calls, uniform
+// unblocked per-write cost for the absorbed prefix, absorbed == 0 meaning
+// "serve one write normally and retry", and mid-sweep failure stopping the
+// sweep at the write that wore a page out.
 //
 // Scan-style sources emit sweeps; schemes whose address mapping advances
 // incrementally under la+1 (identity, affine, XOR-in-region) can absorb

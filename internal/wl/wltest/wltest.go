@@ -109,10 +109,6 @@ func wearConservation(t *testing.T, build func(tb testing.TB, seed uint64) wl.Sc
 // invariantsHold: the scheme's own CheckInvariants passes after heavy load.
 func invariantsHold(t *testing.T, build func(tb testing.TB, seed uint64) wl.Scheme) {
 	s := build(t, 11)
-	c, ok := s.(wl.Checker)
-	if !ok {
-		t.Skip("scheme does not implement wl.Checker")
-	}
 	n := wl.LogicalPages(s)
 	src := rng.NewXorshift(321)
 	for i := 0; i < 50000; i++ {
@@ -122,12 +118,12 @@ func invariantsHold(t *testing.T, build func(tb testing.TB, seed uint64) wl.Sche
 			s.Write(src.Intn(n), src.Uint64())
 		}
 		if i%9973 == 0 {
-			if err := c.CheckInvariants(); err != nil {
+			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

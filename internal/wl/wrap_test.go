@@ -9,9 +9,9 @@ import (
 	"twl/internal/pcm"
 )
 
-// capScheme is fakeScheme plus a configurable subset of the optional
-// interfaces, built by capBuild from a capability mask. Each optional method
-// flips a probe flag so tests can verify which implementation ran.
+// capScheme is fakeScheme with probing overrides of the Scheme bulk,
+// check and snapshot methods plus the optional WriteSweep, so tests can
+// verify which implementation ran.
 type capScheme struct {
 	fakeScheme
 	checked, snapped, restored, ran, swept bool
@@ -32,134 +32,22 @@ func (c *capScheme) WriteSweep(la int, tag uint64, n int) (Cost, int) {
 	return Cost{DeviceWrites: 1}, n
 }
 
-const (
-	capChecker = 1 << iota
-	capSnapshotter
-	capRunWriter
-	capSweepWriter
-)
-
-// capBuild returns a scheme implementing exactly the optional interfaces in
-// mask. The full implementation lives on *capScheme; narrower capability
-// sets are carved out with the same embedding trick Wrap uses.
-func capBuild(dev *pcm.Device, mask int) (Scheme, *capScheme) {
+// capBuild returns a probing scheme with a sweep fast path when sweep is
+// set, and without one otherwise (BWL's shape).
+func capBuild(dev *pcm.Device, sweep bool) (Scheme, *capScheme) {
 	c := &capScheme{fakeScheme: fakeScheme{name: "cap", dev: dev}}
-	var s Scheme = &c.fakeScheme
-	switch mask {
-	case 0:
-	case capChecker:
-		s = struct {
-			Scheme
-			Checker
-		}{s, c}
-	case capSnapshotter:
-		s = struct {
-			Scheme
-			Snapshotter
-		}{s, c}
-	case capChecker | capSnapshotter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-		}{s, c, c}
-	case capRunWriter:
-		s = struct {
-			Scheme
-			RunWriter
-		}{s, c}
-	case capChecker | capRunWriter:
-		s = struct {
-			Scheme
-			Checker
-			RunWriter
-		}{s, c, c}
-	case capSnapshotter | capRunWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			RunWriter
-		}{s, c, c}
-	case capChecker | capSnapshotter | capRunWriter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-			RunWriter
-		}{s, c, c, c}
-	case capSweepWriter:
-		s = struct {
-			Scheme
-			SweepWriter
-		}{s, c}
-	case capChecker | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			SweepWriter
-		}{s, c, c}
-	case capSnapshotter | capSweepWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			SweepWriter
-		}{s, c, c}
-	case capChecker | capSnapshotter | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			Snapshotter
-			SweepWriter
-		}{s, c, c, c}
-	case capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			RunWriter
-			SweepWriter
-		}{s, c, c}
-	case capChecker | capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			Checker
-			RunWriter
-			SweepWriter
-		}{s, c, c, c}
-	case capSnapshotter | capRunWriter | capSweepWriter:
-		s = struct {
-			Scheme
-			Snapshotter
-			RunWriter
-			SweepWriter
-		}{s, c, c, c}
-	default:
-		s = c
+	if sweep {
+		return c, c
 	}
-	return s, c
+	return struct{ Scheme }{c}, c
 }
 
-// capsOf reports which optional interfaces a scheme exposes, as a mask.
-func capsOf(s Scheme) int {
-	mask := 0
-	if _, ok := s.(Checker); ok {
-		mask |= capChecker
-	}
-	if _, ok := s.(Snapshotter); ok {
-		mask |= capSnapshotter
-	}
-	if _, ok := s.(RunWriter); ok {
-		mask |= capRunWriter
-	}
-	if _, ok := s.(SweepWriter); ok {
-		mask |= capSweepWriter
-	}
-	return mask
-}
-
-// passBody is a decorator body with no capabilities of its own.
+// passBody is a decorator body with no overrides of its own.
 type passBody struct{ Scheme }
 
-// fullBody is a decorator body implementing every optional interface, with
-// probes to verify that Wrap prefers the body's implementations.
+// fullBody is a decorator body overriding every bulk, check and snapshot
+// method, with probes to verify that Wrap prefers the body's
+// implementations.
 type fullBody struct {
 	Scheme
 	checked, snapped, ran, swept bool
@@ -177,17 +65,13 @@ func (b *fullBody) WriteSweep(la int, tag uint64, n int) (Cost, int) {
 	return Cost{DeviceWrites: 1}, n
 }
 
-// TestWrapPreservesExactCapabilities: for all 16 capability combinations of
-// the inner scheme, the composite exposes exactly the inner's set — whether
-// the body implements none of the optional interfaces (forwarding) or all
-// of them (nothing invented beyond the inner's set).
+// TestWrapPreservesExactCapabilities: the composite has a sweep fast path
+// exactly when the inner scheme does — whether the body forwards or
+// declares its own WriteSweep (nothing invented beyond the inner's set).
 func TestWrapPreservesExactCapabilities(t *testing.T) {
 	dev := testDevice(t, 8)
-	for mask := 0; mask < 16; mask++ {
-		inner, _ := capBuild(dev, mask)
-		if got := capsOf(inner); got != mask {
-			t.Fatalf("capBuild(%04b) built capability set %04b", mask, got)
-		}
+	for _, sweep := range []bool{false, true} {
+		inner, _ := capBuild(dev, sweep)
 		for _, tc := range []struct {
 			name string
 			body Scheme
@@ -195,30 +79,29 @@ func TestWrapPreservesExactCapabilities(t *testing.T) {
 			{"passBody", &passBody{Scheme: inner}},
 			{"fullBody", &fullBody{Scheme: inner}},
 		} {
-			w := Wrap(tc.body, inner)
-			if got := capsOf(w); got != mask {
-				t.Errorf("mask %04b, %s: composite capability set %04b", mask, tc.name, got)
+			if _, got := Wrap(tc.body, inner).(SweepWriter); got != sweep {
+				t.Errorf("inner sweep %v, %s: composite sweep %v", sweep, tc.name, got)
 			}
 		}
 	}
 }
 
-// TestWrapForwardsToInner: when the body lacks an optional method the
+// TestWrapForwardsToInner: when the body does not override a method the
 // composite forwards to the inner scheme's implementation.
 func TestWrapForwardsToInner(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, probe := capBuild(dev, capChecker|capSnapshotter|capRunWriter|capSweepWriter)
+	inner, probe := capBuild(dev, true)
 	w := Wrap(&passBody{Scheme: inner}, inner)
-	if err := w.(Checker).CheckInvariants(); err != nil || !probe.checked {
+	if err := w.CheckInvariants(); err != nil || !probe.checked {
 		t.Fatal("CheckInvariants did not reach the inner scheme")
 	}
-	if err := w.(Snapshotter).Snapshot(&bytes.Buffer{}); err != nil || !probe.snapped {
+	if err := w.Snapshot(&bytes.Buffer{}); err != nil || !probe.snapped {
 		t.Fatal("Snapshot did not reach the inner scheme")
 	}
-	if err := w.(Snapshotter).Restore(&bytes.Buffer{}); err != nil || !probe.restored {
+	if err := w.Restore(&bytes.Buffer{}); err != nil || !probe.restored {
 		t.Fatal("Restore did not reach the inner scheme")
 	}
-	if _, n := w.(RunWriter).WriteRun(0, 1, 3); n != 3 || !probe.ran {
+	if _, n := w.WriteRun(0, 1, 3); n != 3 || !probe.ran {
 		t.Fatal("WriteRun did not reach the inner scheme")
 	}
 	if _, n := w.(SweepWriter).WriteSweep(0, 1, 3); n != 3 || !probe.swept {
@@ -226,16 +109,16 @@ func TestWrapForwardsToInner(t *testing.T) {
 	}
 }
 
-// TestWrapPrefersBodyOverrides: when both body and inner implement an
-// optional interface, the composite dispatches to the body.
+// TestWrapPrefersBodyOverrides: when the body overrides a method, the
+// composite dispatches to the body.
 func TestWrapPrefersBodyOverrides(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, probe := capBuild(dev, capChecker|capSnapshotter|capRunWriter|capSweepWriter)
+	inner, probe := capBuild(dev, true)
 	body := &fullBody{Scheme: inner}
 	w := Wrap(body, inner)
-	w.(Checker).CheckInvariants()
-	w.(Snapshotter).Snapshot(&bytes.Buffer{})
-	w.(RunWriter).WriteRun(0, 1, 3)
+	w.CheckInvariants()
+	w.Snapshot(&bytes.Buffer{})
+	w.WriteRun(0, 1, 3)
 	w.(SweepWriter).WriteSweep(0, 1, 3)
 	if !body.checked || !body.snapped || !body.ran || !body.swept {
 		t.Fatalf("body overrides skipped: %+v", body)
@@ -251,7 +134,7 @@ func TestWrapPrefersBodyOverrides(t *testing.T) {
 // page count otherwise.
 func TestWrapLogicalPages(t *testing.T) {
 	dev := testDevice(t, 8)
-	plain, _ := capBuild(dev, 0)
+	plain, _ := capBuild(dev, false)
 	w := Wrap(&passBody{Scheme: plain}, plain)
 	lp, ok := w.(interface{ LogicalPages() int })
 	if !ok {
@@ -276,7 +159,7 @@ func (s *scopedScheme) LogicalPages() int { return s.Device().Pages() - 1 }
 // helpers can find extension interfaces the composite hides.
 func TestWrapUnwrapChain(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, capChecker)
+	inner, _ := capBuild(dev, false)
 	body := &reporterBody{Scheme: inner}
 	w := Wrap(body, inner)
 	if _, ok := w.(CapacityReporter); ok {
@@ -318,7 +201,7 @@ func (b *reporterBody) CapacityStats() CapacityStats { return CapacityStats{Spar
 // TestComposeAppliesInOrder: first option innermost.
 func TestComposeAppliesInOrder(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, 0)
+	inner, _ := capBuild(dev, false)
 	var order []string
 	tag := func(name string) Option {
 		return WithDecorator(func(s Scheme) (Scheme, error) {
@@ -341,7 +224,7 @@ func TestComposeAppliesInOrder(t *testing.T) {
 // TestComposeErrors: option and wrapper failures surface.
 func TestComposeErrors(t *testing.T) {
 	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, 0)
+	inner, _ := capBuild(dev, false)
 	if _, err := Compose(inner, WithDecorator(nil)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil wrapper err = %v, want ErrBadConfig", err)
 	}

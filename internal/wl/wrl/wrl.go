@@ -82,8 +82,6 @@ type Scheme struct {
 }
 
 var _ wl.Scheme = (*Scheme)(nil)
-var _ wl.Checker = (*Scheme)(nil)
-var _ wl.RunWriter = (*Scheme)(nil)
 var _ wl.SweepWriter = (*Scheme)(nil)
 
 // New builds a WRL scheme over dev.

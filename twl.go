@@ -287,8 +287,8 @@ func SchemeDocs() []string {
 //		twl.WithRetirement(twl.RetireConfig{}),
 //		twl.WithInstrumentation(reg))
 //
-// The decorated scheme keeps exactly the optional interfaces the bare one
-// implements, so fast-forward and checkpointing work unchanged.
+// The decorated scheme keeps the bare one's sweep fast path exactly, so
+// fast-forward and checkpointing work unchanged.
 func NewScheme(name string, dev *Device, seed uint64, opts ...SchemeOption) (Scheme, error) {
 	return wl.Build(name, dev, seed, opts...)
 }
@@ -299,8 +299,9 @@ func NewScheme(name string, dev *Device, seed uint64, opts ...SchemeOption) (Sch
 // or cfg.CapacityThreshold of the visible pages have been retired.
 func WithRetirement(cfg RetireConfig) SchemeOption { return wl.WithRetirement(cfg) }
 
-// WithInstrumentation decorates the scheme with per-request metrics in reg
-// (see Instrument).
+// WithInstrumentation decorates the scheme with per-request metrics in reg:
+// request, blocked and latency series labeled with the scheme name, kept
+// identical on the bulk fast paths and across checkpoint/resume.
 func WithInstrumentation(reg *MetricsRegistry) SchemeOption { return wl.WithInstrumentation(reg) }
 
 // CapacityOf reports the retirement decorator's spare-pool state anywhere in
@@ -422,12 +423,6 @@ func MetricLabel(key, value string) obs.Label { return obs.L(key, value) }
 // NewRunTracer returns a tracer writing JSON lines to w, emitting one
 // progress event every `every` demand writes (0 uses obs.DefaultTraceEvery).
 func NewRunTracer(w io.Writer, every uint64) *Tracer { return obs.NewTracer(w, every) }
-
-// Instrument wraps a scheme so every Write/Read updates per-scheme request,
-// blocked and latency series in reg. The wrapper preserves every optional
-// interface the underlying scheme implements (invariant checking, snapshot,
-// bulk fast paths), so instrumented runs still fast-forward and checkpoint.
-func Instrument(s Scheme, reg *MetricsRegistry) Scheme { return wl.Instrument(s, reg) }
 
 // RunLifetime drives src through s until the first page failure and returns
 // the summary. See sim.RunLifetime.
