@@ -202,30 +202,6 @@ func TestRunLifetimeWithObservability(t *testing.T) {
 	}
 }
 
-// TestInstrumentFacade verifies the per-scheme decorator through the public
-// API.
-func TestInstrumentFacade(t *testing.T) {
-	sys := SmallSystem(9)
-	dev, err := sys.NewDevice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetrics()
-	s, err := NewScheme("NOWL", dev, 1, WithInstrumentation(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		s.Write(i, uint64(i))
-	}
-	s.Read(0)
-	got := reg.Counter("twl_scheme_requests_total",
-		MetricLabel("scheme", "NOWL"), MetricLabel("op", "write")).Value()
-	if got != 5 {
-		t.Fatalf("instrumented write counter = %d, want 5", got)
-	}
-}
-
 // TestStackBytesPerPage pins the simulated controller's memory layout:
 // every scheme's device state is 16 B/page (uint32 wear and endurance, a
 // uint64 payload tag), and the TWL engines add 22 B/page of tables, 38

@@ -21,13 +21,11 @@ import (
 	"strings"
 
 	"twl"
-	"twl/internal/attack"
 	"twl/internal/cliutil"
 	"twl/internal/obs"
 	"twl/internal/pcm"
 	"twl/internal/report"
 	"twl/internal/sim"
-	"twl/internal/trace"
 	"twl/internal/wl"
 )
 
@@ -85,42 +83,48 @@ func main() {
 	if *endurance > 0 {
 		sys.MeanEndurance = *endurance
 	}
-	var opts []twl.SchemeOption
 	if *spareFrac > 0 {
 		sys = sys.WithSpareFraction(*spareFrac)
-		opts = append(opts, twl.WithRetirement(twl.RetireConfig{CapacityThreshold: *retireThr}))
 	}
-	dev, err := sys.NewDevice()
-	fatal(err)
-	s, err := twl.NewScheme(*scheme, dev, *seed+7, opts...)
-	fatal(err)
-
-	var src sim.Source
-	var ideal float64
+	// The scheme and source come from the facade's cell constructors, so a
+	// run matches the figure cell at the same flags (NewAttackRun documents
+	// where its attack sizing differs from RunAttackCell's).
+	var (
+		s        twl.Scheme
+		src      sim.Source
+		ideal    float64
+		workload string
+		err      error
+	)
 	switch {
 	case *attackMode != "":
-		mode, err := twl.ParseAttackMode(*attackMode)
+		var mode twl.AttackMode
+		mode, err = twl.ParseAttackMode(*attackMode)
 		fatal(err)
-		st, err := attack.New(attack.DefaultConfig(mode, wl.LogicalPages(s), *seed+11))
+		s, src, err = twl.NewAttackRun(sys, *scheme, mode)
 		fatal(err)
-		src = sim.FromAttack(st)
 		ideal = twl.IdealYears(*bandwidth)
-		fmt.Printf("workload: %s attack at %.3g B/s (ideal lifetime %.2f years)\n",
-			mode, *bandwidth, ideal)
+		workload = fmt.Sprintf("%s attack at %.3g B/s (ideal lifetime %.2f years)", mode, *bandwidth, ideal)
 	default:
 		name := *bench
 		if name == "" {
 			name = "canneal"
 		}
-		b, err := trace.BenchmarkByName(name)
+		var b twl.Benchmark
+		b, err = twl.BenchmarkByName(name)
 		fatal(err)
-		g, err := trace.NewSynthetic(b, wl.LogicalPages(s), *seed+13)
+		s, src, err = twl.NewBenchCell(sys, *scheme, name)
 		fatal(err)
-		src = sim.FromWorkload(g)
 		ideal = twl.IdealYears(b.WriteBandwidthMBps * 1e6)
-		fmt.Printf("workload: PARSEC %s at %.0f MB/s (ideal lifetime %.1f years, footprint %d pages)\n",
-			b.Name, b.WriteBandwidthMBps, ideal, g.Footprint())
+		workload = fmt.Sprintf("PARSEC %s at %.0f MB/s (ideal lifetime %.1f years, footprint %d pages)",
+			b.Name, b.WriteBandwidthMBps, ideal, b.Footprint(wl.LogicalPages(s)))
 	}
+	if *spareFrac > 0 {
+		s, err = twl.AttachRetirement(s, twl.RetireConfig{CapacityThreshold: *retireThr})
+		fatal(err)
+	}
+	dev := s.Device()
+	fmt.Println("workload: " + workload)
 
 	cfg := sim.LifetimeConfig{}
 	if *paranoid {

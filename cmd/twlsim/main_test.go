@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
+
+	"twl"
 )
 
 // mainEnv makes the test binary run main instead of the tests, so a test
@@ -20,6 +24,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// twlsim runs the command line with args and returns its stdout, failing
+// the test on a non-zero exit.
+func twlsim(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("twlsim %s: %v\nstderr: %s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String()
+}
+
+var normalizedRow = regexp.MustCompile(`(?m)^normalized lifetime\s+(\S+)`)
+
 // TestAttackSizedToLogicalPages: an attack run addresses only the pages the
 // scheme maps. RBSG keeps a gap page per region out of its address space,
 // so an attack over every device page would send it addresses it has no
@@ -27,16 +47,51 @@ func TestMain(m *testing.M) {
 func TestAttackSizedToLogicalPages(t *testing.T) {
 	for _, mode := range []string{"scan", "random"} {
 		t.Run(mode, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0],
-				"-scheme", "RBSG", "-attack", mode, "-pages", "512", "-endurance", "5000")
-			cmd.Env = append(os.Environ(), mainEnv+"=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("twlsim -scheme RBSG -attack %s: %v\nstderr: %s", mode, err, stderr.String())
+			out := twlsim(t, "-scheme", "RBSG", "-attack", mode, "-pages", "512", "-endurance", "5000")
+			if !normalizedRow.MatchString(out) {
+				t.Fatalf("no normalized lifetime row in:\n%s", out)
 			}
-			if !strings.Contains(stdout.String(), "normalized lifetime") {
-				t.Fatalf("no normalized lifetime row in:\n%s", stdout.String())
+		})
+	}
+}
+
+// TestRunMatchesFigureCell: a twlsim run reports the normalized lifetime of
+// the figure cell at the same flags — RunAttackCell for an attack (SR, by
+// any spelling, gets the Figure 6 bar's rescaled two-level configuration),
+// RunBenchCell for a PARSEC workload (the Figure 8 seeds).
+func TestRunMatchesFigureCell(t *testing.T) {
+	sys := twl.DefaultSystem(1)
+	sys.Pages, sys.MeanEndurance = 512, 5000
+	flags := []string{"-pages", "512", "-endurance", "5000"}
+	cases := []struct {
+		name string
+		args []string
+		cell func() (twl.LifetimeResult, error)
+	}{
+		{"SR/inconsistent", []string{"-scheme", "SR", "-attack", "inconsistent"}, func() (twl.LifetimeResult, error) {
+			return twl.RunAttackCell(sys, "SR", twl.AttackInconsistent, twl.LifetimeConfig{})
+		}},
+		// Scheme names are case-insensitive; the alias runs the same cell.
+		{"sr/inconsistent", []string{"-scheme", "sr", "-attack", "inconsistent"}, func() (twl.LifetimeResult, error) {
+			return twl.RunAttackCell(sys, "SR", twl.AttackInconsistent, twl.LifetimeConfig{})
+		}},
+		{"TWL_swp/canneal", []string{"-scheme", "TWL_swp", "-bench", "canneal"}, func() (twl.LifetimeResult, error) {
+			return twl.RunBenchCell(sys, "TWL_swp", "canneal", twl.LifetimeConfig{})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := c.cell()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := twlsim(t, append(c.args, flags...)...)
+			m := normalizedRow.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("no normalized lifetime row in:\n%s", out)
+			}
+			if w := fmt.Sprintf("%.4f", want.Normalized); m[1] != w {
+				t.Errorf("twlsim normalized lifetime %s, figure cell %s", m[1], w)
 			}
 		})
 	}

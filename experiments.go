@@ -29,7 +29,7 @@ const Fig6AttackBandwidth = 8e9
 // be artificially crippled (interval 128 at full scale corresponds to a far
 // finer interval on a 20000-write array). See EXPERIMENTS.md, "Scaling".
 func lifetimeScheme(name string, dev *Device, seed uint64, sys SystemConfig) (Scheme, error) {
-	if name == "SR" {
+	if reg, ok := wl.Default.Lookup(name); ok && reg.Name == "SR" {
 		cfg := secref.DefaultTwoLevelConfig(sys.Pages, sys.MeanEndurance, seed)
 		return secref.NewTwoLevel(dev, cfg)
 	}
@@ -63,21 +63,45 @@ func RunAttackCell(sys SystemConfig, scheme string, mode AttackMode, lc Lifetime
 	return sim.RunLifetime(s, sim.FromAttack(st), lc)
 }
 
+// NewAttackRun builds the scheme and attack stream of a single lifetime run,
+// as twlsim and RunRetirement run it: the scheme at Seed+7 with the SR
+// interval rescaling, the attack at Seed+11 over the scheme's logical pages
+// (wl.LogicalPages). For a scheme that maps every device page this is
+// RunAttackCell's cell exactly. RunAttackCell sizes its stream to sys.Pages
+// instead, which differs for StartGap and RBSG: its StartGap cells are
+// pinned in perfbench/expect as they are, and RBSG under scan or random
+// indexes past its region table there.
+func NewAttackRun(sys SystemConfig, scheme string, mode AttackMode) (Scheme, sim.Source, error) {
+	dev, err := sys.NewDevice()
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := lifetimeScheme(scheme, dev, sys.Seed+7, sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := NewAttack(mode, wl.LogicalPages(s), sys.Seed+11)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, src, nil
+}
+
 // RunBenchCell is RunAttackCell's benchmark counterpart: one scheme ×
 // PARSEC-workload lifetime cell, constructed exactly as RunFig8 builds each
-// bar (scheme at Seed+13, synthetic workload at Seed+17). The workload
-// spans the scheme's logical pages (wl.LogicalPages), which for StartGap
-// and RBSG is fewer than sys.Pages.
+// bar (NewBenchCell).
 func RunBenchCell(sys SystemConfig, scheme, bench string, lc LifetimeConfig) (LifetimeResult, error) {
-	s, src, err := benchCell(sys, scheme, bench)
+	s, src, err := NewBenchCell(sys, scheme, bench)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
 	return sim.RunLifetime(s, src, lc)
 }
 
-// benchCell builds RunBenchCell's scheme and workload.
-func benchCell(sys SystemConfig, scheme, bench string) (Scheme, sim.Source, error) {
+// NewBenchCell builds RunBenchCell's scheme and workload: the scheme at
+// Seed+13, the synthetic workload at Seed+17 over the scheme's logical pages
+// (wl.LogicalPages), which for StartGap and RBSG is fewer than sys.Pages.
+func NewBenchCell(sys SystemConfig, scheme, bench string) (Scheme, sim.Source, error) {
 	b, err := trace.BenchmarkByName(bench)
 	if err != nil {
 		return nil, nil, err
@@ -671,20 +695,11 @@ func RunRetirement(sys SystemConfig, cfg RetirementConfig) (*RetirementResult, e
 		}
 		sys = sys.WithSpareFraction(frac)
 	}
-	dev, err := sys.NewDevice()
+	s, src, err := NewAttackRun(sys, cfg.Scheme, cfg.Mode)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := lifetimeScheme(cfg.Scheme, dev, sys.Seed+7, sys)
-	if err != nil {
-		return nil, err
-	}
-	s, err := wl.Compose(inner, wl.WithRetirement(wl.RetireConfig{CapacityThreshold: cfg.CapacityThreshold}))
-	if err != nil {
-		return nil, err
-	}
-	src, err := NewAttack(cfg.Mode, wl.LogicalPages(s), sys.Seed+11)
-	if err != nil {
+	if s, err = AttachRetirement(s, RetireConfig{CapacityThreshold: cfg.CapacityThreshold}); err != nil {
 		return nil, err
 	}
 	res, err := sim.RunLifetime(s, src, sim.LifetimeConfig{Metrics: cfg.Metrics, Trace: cfg.Trace})
@@ -700,7 +715,7 @@ func RunRetirement(sys SystemConfig, cfg RetirementConfig) (*RetirementResult, e
 		Result: res,
 		Curve:  cs.Curve,
 	}
-	totalEnd := float64(dev.TotalEndurance())
+	totalEnd := float64(s.Device().TotalEndurance())
 	if len(cs.Curve) > 0 {
 		out.FirstFailureWrites = cs.Curve[0].DemandWrites
 		out.FirstFailureYears = float64(out.FirstFailureWrites) / totalEnd * ideal

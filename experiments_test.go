@@ -366,7 +366,7 @@ func TestBenchCellSizedToLogicalPages(t *testing.T) {
 			t.Errorf("%s x canneal: %+v, want a run to first failure", scheme, res)
 		}
 	}
-	s, src, err := benchCell(sys, "StartGap", "canneal")
+	s, src, err := NewBenchCell(sys, "StartGap", "canneal")
 	if err != nil {
 		t.Fatal(err)
 	}

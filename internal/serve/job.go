@@ -35,9 +35,8 @@ type JobSpec struct {
 	SigmaFraction float64 `json:"sigma_fraction,omitempty"`
 
 	// Shards > 0 routes attack cells through the bank-sharded runner
-	// (Pages must divide evenly). Bench cells cannot shard — the runner
-	// rejects them with ErrUnshardableSource and the service falls back to
-	// the unsharded path automatically.
+	// (Pages must divide evenly). Bench cells cannot shard and always run
+	// unsharded.
 	Shards int `json:"shards,omitempty"`
 	// MaxDemandWrites caps each cell (0: the simulator default, 2 × total
 	// endurance).
@@ -218,9 +217,9 @@ func buildCells(sp JobSpec) []*cell {
 			for _, seed := range sp.Seeds {
 				shards := sp.Shards
 				if strings.HasPrefix(src, "bench:") {
-					// Bench cells always run unsharded (the runner would
-					// reject them); key them that way so a resubmission
-					// without shards hits the same cache entry.
+					// Bench cells always run unsharded; key them that way
+					// so a resubmission without shards hits the same cache
+					// entry.
 					shards = 0
 				}
 				cells = append(cells, &cell{

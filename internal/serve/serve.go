@@ -416,8 +416,8 @@ func (r cellResult) shards() int {
 
 // simulate runs the cell's simulation with preemption and checkpointing
 // wired in. Sharded specs route attack cells through the bank-sharded
-// runner; bench cells are rejected by it with ErrUnshardableSource and fall
-// back to the unsharded path — the service-level half of that contract.
+// runner; bench cells always run unsharded (their traces do not factor
+// across bank groups), matching the shards=0 key buildCells gives them.
 //
 // A panicking simulation — a scheme bug that the cell's configuration
 // reaches — is returned as an error, so the cell settles failed instead of
@@ -434,41 +434,32 @@ func (s *Server) simulate(j *job, c *cell) (_ cellResult, err error) {
 	stop := func() bool { return s.draining.Load() || s.jobCancelled(j) }
 	kind, name := c.sourceKind()
 
-	if spec.Shards > 0 {
-		scfg := twl.ShardedConfig{
+	if spec.Shards > 0 && kind == "attack" {
+		mode, err := twl.ParseAttackMode(name)
+		if err != nil {
+			return cellResult{}, err
+		}
+		res, err := twl.RunShardedLifetime(sys, twl.ShardedConfig{
 			Scheme:          c.Scheme,
+			Mode:            mode,
 			Shards:          spec.Shards,
 			MaxDemandWrites: spec.MaxDemandWrites,
 			CheckpointDir:   filepath.Join(s.ckptDir, c.Key),
 			Resume:          true,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 			Stop:            stop,
-		}
-		if kind == "attack" {
-			mode, err := twl.ParseAttackMode(name)
-			if err != nil {
-				return cellResult{}, err
-			}
-			scfg.Mode = mode
-		} else {
-			scfg.Bench = name
-		}
-		res, err := twl.RunShardedLifetime(sys, scfg)
-		switch {
-		case err == nil:
-			out := fromLifetime(res.LifetimeResult)
-			out.Sharded = &shardedInfo{
-				Shards:      res.Shards,
-				ShardPages:  res.ShardPages,
-				FailedShard: res.FailedShard,
-				ShardDemand: res.ShardDemand,
-			}
-			return out, nil
-		case errors.Is(err, twl.ErrUnshardableSource):
-			// Fall through to the unsharded path below.
-		default:
+		})
+		if err != nil {
 			return cellResult{}, err
 		}
+		out := fromLifetime(res.LifetimeResult)
+		out.Sharded = &shardedInfo{
+			Shards:      res.Shards,
+			ShardPages:  res.ShardPages,
+			FailedShard: res.FailedShard,
+			ShardDemand: res.ShardDemand,
+		}
+		return out, nil
 	}
 
 	ckpt := filepath.Join(s.ckptDir, c.Key+".ckpt")

@@ -300,9 +300,8 @@ func TestCacheHitOnResubmit(t *testing.T) {
 // TestDifferentialGrid: a grid run through the service is byte-identical
 // to the same cells run directly through the one-shot entry points
 // (RunAttackCell / RunBenchCell) — the service adds checkpointing and
-// preemption wiring but must not change a single counter. Shards is set so
-// the bench cell also exercises the typed-rejection fallback
-// (ErrUnshardableSource → unsharded path).
+// preemption wiring but must not change a single counter. The job is
+// unsharded; TestShardedDifferential runs a bench cell in a sharded job.
 func TestDifferentialGrid(t *testing.T) {
 	spec := JobSpec{
 		Schemes:       []string{"TWL_swp", "BWL"},
@@ -345,12 +344,14 @@ func TestDifferentialGrid(t *testing.T) {
 	}
 }
 
-// TestShardedDifferential: a sharded cell through the service equals
-// twl.RunShardedLifetime run directly.
+// TestShardedDifferential: in a sharded job, an attack cell through the
+// service equals twl.RunShardedLifetime run directly, and a bench cell runs
+// unsharded and equals twl.RunBenchCell.
 func TestShardedDifferential(t *testing.T) {
 	spec := JobSpec{
 		Schemes:       []string{"TWL_swp"},
 		Attacks:       []string{"inconsistent"},
+		Benches:       []string{"vips"},
 		Pages:         256,
 		MeanEndurance: 3000,
 		Shards:        4,
@@ -361,13 +362,15 @@ func TestShardedDifferential(t *testing.T) {
 	defer ts.Close()
 
 	st := submitAndWait(t, ts, spec)
+	if len(st.Cells) != 2 {
+		t.Fatalf("job has %d cells, want 2", len(st.Cells))
+	}
+	sys := twl.SystemConfig{Pages: 256, PageSize: 4096, MeanEndurance: 3000, SigmaFraction: 0.11, Seed: 1}
 	c := st.Cells[0]
 	if c.Result.Sharded == nil || c.Result.Sharded.Shards != 4 {
 		t.Fatalf("cell did not run sharded: %+v", c.Result)
 	}
-	want, err := twl.RunShardedLifetime(twl.SystemConfig{
-		Pages: 256, PageSize: 4096, MeanEndurance: 3000, SigmaFraction: 0.11, Seed: 1,
-	}, twl.ShardedConfig{Scheme: "TWL_swp", Mode: twl.AttackInconsistent, Shards: 4})
+	want, err := twl.RunShardedLifetime(sys, twl.ShardedConfig{Scheme: "TWL_swp", Mode: twl.AttackInconsistent, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,6 +379,21 @@ func TestShardedDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.Result.Sharded.ShardDemand, want.ShardDemand) {
 		t.Errorf("shard demand diverged: %v vs %v", c.Result.Sharded.ShardDemand, want.ShardDemand)
+	}
+
+	b := st.Cells[1]
+	if b.Source != "bench:vips" || b.Result == nil {
+		t.Fatalf("second cell %s has result %+v, want a finished bench:vips cell", b.Source, b.Result)
+	}
+	if b.Result.Sharded != nil {
+		t.Errorf("bench cell ran sharded: %+v", b.Result.Sharded)
+	}
+	wantBench, err := twl.RunBenchCell(sys, "TWL_swp", "vips", twl.LifetimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Result.toLifetime(); got != wantBench {
+		t.Errorf("bench cell diverged:\n  service %+v\n  direct  %+v", got, wantBench)
 	}
 }
 

@@ -138,9 +138,7 @@ func interarrivalCycles(bench trace.Benchmark) int64 {
 
 // measure replays the benchmark stream through a freshly built scheme and
 // returns accumulated memory cycles plus the per-request service times.
-// When reg is non-nil the scheme is wrapped with wl.Instrument, so the
-// per-request costs land in scheme-labeled histograms, and a
-// benchmark-labeled request counter tracks coverage.
+// When reg is non-nil the run's requests are recorded there (recordPerf).
 func measure(bench trace.Benchmark, pages int, seed uint64, requests int,
 	reg *obs.Registry, build func() (wl.Scheme, error)) (int64, []int64, string, error) {
 	s, err := build()
@@ -151,19 +149,13 @@ func measure(bench trace.Benchmark, pages int, seed uint64, requests int,
 		return 0, nil, "", fmt.Errorf("sim: scheme device has %d pages, need >= %d", s.Device().Pages(), pages)
 	}
 	name := s.Name()
-	var perfRequests *obs.Counter
-	if reg != nil {
-		s = wl.Instrument(s, reg)
-		reg.Help("twl_perf_requests_total", "performance-run requests, by scheme and benchmark")
-		perfRequests = reg.Counter("twl_perf_requests_total",
-			obs.L("scheme", name), obs.L("benchmark", bench.Name))
-	}
 	g, err := trace.NewSynthetic(bench, pages, seed)
 	if err != nil {
 		return 0, nil, "", err
 	}
 	timing := s.Device().Timing()
 	var cycles int64
+	var writes, blocked uint64
 	services := make([]int64, 0, requests)
 	src := FromWorkload(g)
 	var fb attack.Feedback
@@ -172,15 +164,39 @@ func measure(bench trace.Benchmark, pages int, seed uint64, requests int,
 		var cost wl.Cost
 		if write {
 			cost = s.Write(addr, uint64(i))
+			writes++
 		} else {
 			_, cost = s.Read(addr)
+		}
+		if cost.Blocked {
+			blocked++
 		}
 		c := cost.Cycles(timing)
 		cycles += c
 		services = append(services, c)
 	}
-	if perfRequests != nil {
-		perfRequests.Add(uint64(requests))
+	if reg != nil {
+		recordPerf(reg, name, bench.Name, services, writes, blocked)
 	}
 	return cycles, services, name, nil
+}
+
+// recordPerf records a performance run's requests in reg: scheme-labeled
+// request counts by op, blocked requests and a per-request latency
+// histogram — the distributional material behind the Figure 9 means — and
+// a benchmark-labeled request counter that tracks coverage.
+func recordPerf(reg *obs.Registry, scheme, bench string, services []int64, writes, blocked uint64) {
+	label := obs.L("scheme", scheme)
+	reg.Help("twl_scheme_requests_total", "logical requests served by the scheme, by op")
+	reg.Help("twl_scheme_blocked_total", "requests delayed behind an internal swap phase")
+	reg.Help("twl_scheme_request_cycles", "per-request latency in CPU cycles")
+	reg.Counter("twl_scheme_requests_total", label, obs.L("op", "write")).Add(writes)
+	reg.Counter("twl_scheme_requests_total", label, obs.L("op", "read")).Add(uint64(len(services)) - writes)
+	reg.Counter("twl_scheme_blocked_total", label).Add(blocked)
+	latency := reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label)
+	for _, c := range services {
+		latency.Observe(float64(c))
+	}
+	reg.Help("twl_perf_requests_total", "performance-run requests, by scheme and benchmark")
+	reg.Counter("twl_perf_requests_total", label, obs.L("benchmark", bench)).Add(uint64(len(services)))
 }

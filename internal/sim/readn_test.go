@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"testing"
 
-	"twl/internal/obs"
 	"twl/internal/rng"
 	"twl/internal/wl"
 	"twl/internal/wl/od3p"
+	"twl/internal/wl/retire"
 	"twl/internal/wl/wltest"
 )
 
 // TestReadNContract holds every registered scheme, bare and under the
-// instrumentation and retirement decorators, to the wl.Scheme.ReadN
-// contract. Two identical twins take the same seeded write prefix; then one
-// serves ReadN(k) and the other k Read calls at seeded in-range addresses.
-// Stats, the device read counter, the metrics rendering and the scheme and
-// device snapshot bytes must match, and every Read must return ReadN's
-// cost. The prefix writes a small hot set well past its endurance, so pages
+// retirement decorator, to the wl.Scheme.ReadN contract. Two identical
+// twins take the same seeded write prefix; then one serves ReadN(k) and the
+// other k Read calls at seeded in-range addresses. Stats, the device read
+// counter and the scheme and device snapshot bytes must match, and every
+// Read must return ReadN's cost. The prefix writes a small hot set well past its endurance, so pages
 // fail first: OD3P pairs them (its dead-page Read branch then reads the
 // partner) and the retirement decorator remaps them to spares.
 func TestReadNContract(t *testing.T) {
@@ -31,22 +30,21 @@ func TestReadNContract(t *testing.T) {
 	stacks := []struct {
 		name   string
 		spares int
-		opts   func(reg *obs.Registry) []wl.Option
 	}{
-		{"bare", 0, func(*obs.Registry) []wl.Option { return nil }},
-		{"instrumented", 0, func(reg *obs.Registry) []wl.Option {
-			return []wl.Option{wl.WithInstrumentation(reg)}
-		}},
-		{"retired", retireSpares, func(*obs.Registry) []wl.Option {
-			return []wl.Option{wl.WithRetirement(wl.RetireConfig{})}
-		}},
+		{"bare", 0},
+		{"retired", retireSpares},
 	}
-	build := func(t *testing.T, name string, spares int, opts []wl.Option) wl.Scheme {
+	build := func(t *testing.T, name string, spares int) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewSpareDevice(t, pages, spares, endurance, diffSeed)
-		s, err := wl.Default.Build(name, dev, diffSeed, opts...)
+		s, err := wl.Default.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if spares > 0 {
+			if s, err = retire.New(s, retire.Config{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r := rng.NewXorshift(diffSeed)
 		for i := 0; i < prefix; i++ {
@@ -62,9 +60,8 @@ func TestReadNContract(t *testing.T) {
 		for _, stack := range stacks {
 			for _, k := range []int{0, 1, 7, 500} {
 				t.Run(fmt.Sprintf("%s/%s/%d", name, stack.name, k), func(t *testing.T) {
-					regN, regR := obs.NewRegistry(), obs.NewRegistry()
-					bulk := build(t, name, stack.spares, stack.opts(regN))
-					each := build(t, name, stack.spares, stack.opts(regR))
+					bulk := build(t, name, stack.spares)
+					each := build(t, name, stack.spares)
 					if o, ok := bulk.(*od3p.Scheme); ok && o.Pairings() == 0 {
 						t.Fatal("write prefix formed no OD3P pairing; the dead-page read branch is untested")
 					}
@@ -86,9 +83,6 @@ func TestReadNContract(t *testing.T) {
 					}
 					if got, want := bulk.Device().TotalReads(), each.Device().TotalReads(); got != want {
 						t.Errorf("device reads: ReadN %d, Read %d", got, want)
-					}
-					if got, want := metricsJSON(t, regN), metricsJSON(t, regR); got != want {
-						t.Errorf("metrics differ:\nReadN: %s\nRead:  %s", got, want)
 					}
 					if got, want := stateBytes(t, bulk), stateBytes(t, each); !bytes.Equal(got, want) {
 						t.Error("scheme+device snapshot bytes differ")

@@ -8,15 +8,12 @@ import (
 
 	"twl/internal/obs"
 	"twl/internal/wl"
+	"twl/internal/wl/retire"
 	"twl/internal/wl/wltest"
-
-	// Link the retirement decorator factory so wl.WithRetirement works.
-	_ "twl/internal/wl/retire"
 )
 
 // Lifetime beyond first failure: these tests drive every registered scheme
-// through the retirement decorator (in both stacking orders with the
-// instrumentation decorator) and hold the decorated runs to the same
+// through the retirement decorator and hold the decorated runs to the same
 // bit-identity contracts as bare ones — fast-forward vs per-request, and
 // kill/resume vs uninterrupted.
 
@@ -24,32 +21,20 @@ import (
 // band.
 const retireSpares = 8
 
-// retireOrders names the two decorator stacking orders under test. Options
-// apply first-innermost, so "retire_outer" is Retire(Instrument(s)) and
-// "instr_outer" is Instrument(Retire(s)).
-var retireOrders = map[string][]func(reg *obs.Registry) wl.Option{
-	"retire_outer": {
-		func(reg *obs.Registry) wl.Option { return wl.WithInstrumentation(reg) },
-		func(*obs.Registry) wl.Option { return wl.WithRetirement(wl.RetireConfig{}) },
-	},
-	"instr_outer": {
-		func(*obs.Registry) wl.Option { return wl.WithRetirement(wl.RetireConfig{}) },
-		func(reg *obs.Registry) wl.Option { return wl.WithInstrumentation(reg) },
-	},
-}
+// retireStack names the decorated stack in subtest names: the retirement
+// decorator as the outer layer over the bare scheme.
+const retireStack = "retire_outer"
 
 // buildRetired constructs a registered scheme over a spare-pool device and
-// applies the order's decorator stack. The instrumentation layer shares the
-// run's metrics registry, so its counters join the bit-identity comparison.
-func buildRetired(t *testing.T, name, order string, reg *obs.Registry) wl.Scheme {
+// puts the retirement decorator over it.
+func buildRetired(t *testing.T, name string) wl.Scheme {
 	t.Helper()
 	dev := wltest.NewSpareDevice(t, diffPages, retireSpares, diffEndurance, diffSeed)
-	opts := make([]wl.Option, 0, 2)
-	for _, mk := range retireOrders[order] {
-		opts = append(opts, mk(reg))
-	}
-	s, err := wl.Default.Build(name, dev, diffSeed, opts...)
+	s, err := wl.Default.Build(name, dev, diffSeed)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = retire.New(s, retire.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -57,10 +42,10 @@ func buildRetired(t *testing.T, name, order string, reg *obs.Registry) wl.Scheme
 
 // retireRunOne is diffRunOne for decorated runs: same capture, except wear
 // and payload cover the spare region too.
-func retireRunOne(t *testing.T, name, order, kind string, disableFF bool, maxWrites uint64, ckpt *CheckpointConfig) diffRun {
+func retireRunOne(t *testing.T, name, kind string, disableFF bool, maxWrites uint64, ckpt *CheckpointConfig) diffRun {
 	t.Helper()
 	reg := obs.NewRegistry()
-	s := buildRetired(t, name, order, reg)
+	s := buildRetired(t, name)
 	dev := s.Device()
 	if maxWrites == 0 {
 		maxWrites = 3 * dev.TotalEndurance()
@@ -113,56 +98,54 @@ func requireRetired(t *testing.T, r diffRun) {
 	}
 }
 
-// TestRetireDifferential: every registered scheme, wrapped in both stacking
-// orders, must stay bit-identical between the fast-forward and per-request
-// paths while retirements fire mid-run — the capacity curve, spare wear,
-// metrics (including the instrumentation layer's) and trace events all land
-// at the same demand counts either way.
+// TestRetireDifferential: every registered scheme under the retirement
+// decorator must stay bit-identical between the fast-forward and
+// per-request paths while retirements fire mid-run — the capacity curve,
+// spare wear, metrics and trace events all land at the same demand counts
+// either way.
 func TestRetireDifferential(t *testing.T) {
 	kinds := []string{"repeat", "scan"}
 	if testing.Short() {
 		kinds = kinds[:1]
 	}
 	for _, name := range wl.Names() {
-		for order := range retireOrders {
-			for _, kind := range kinds {
-				t.Run(name+"/"+order+"/"+kind, func(t *testing.T) {
-					slow := retireRunOne(t, name, order, kind, true, 0, nil)
-					fast := retireRunOne(t, name, order, kind, false, 0, nil)
-					requireRetired(t, slow)
+		for _, kind := range kinds {
+			t.Run(name+"/"+retireStack+"/"+kind, func(t *testing.T) {
+				slow := retireRunOne(t, name, kind, true, 0, nil)
+				fast := retireRunOne(t, name, kind, false, 0, nil)
+				requireRetired(t, slow)
 
-					if fast.res != slow.res {
-						t.Errorf("LifetimeResult differs:\nfast: %+v\nslow: %+v", fast.res, slow.res)
+				if fast.res != slow.res {
+					t.Errorf("LifetimeResult differs:\nfast: %+v\nslow: %+v", fast.res, slow.res)
+				}
+				for pp := range slow.wear {
+					if fast.wear[pp] != slow.wear[pp] {
+						t.Fatalf("wear[%d]: fast %d, slow %d", pp, fast.wear[pp], slow.wear[pp])
 					}
-					for pp := range slow.wear {
-						if fast.wear[pp] != slow.wear[pp] {
-							t.Fatalf("wear[%d]: fast %d, slow %d", pp, fast.wear[pp], slow.wear[pp])
-						}
-						if fast.payload[pp] != slow.payload[pp] {
-							t.Fatalf("payload[%d]: fast %d, slow %d", pp, fast.payload[pp], slow.payload[pp])
-						}
+					if fast.payload[pp] != slow.payload[pp] {
+						t.Fatalf("payload[%d]: fast %d, slow %d", pp, fast.payload[pp], slow.payload[pp])
 					}
-					if fast.writes != slow.writes || fast.reads != slow.reads {
-						t.Errorf("device totals differ: fast %d/%d, slow %d/%d",
-							fast.writes, fast.reads, slow.writes, slow.reads)
-					}
-					if fast.metricsText != slow.metricsText {
-						t.Errorf("metrics registry differs:\nfast:\n%s\nslow:\n%s", fast.metricsText, slow.metricsText)
-					}
-					if fast.traceText != slow.traceText {
-						t.Errorf("trace events differ:\nfast:\n%s\nslow:\n%s", fast.traceText, slow.traceText)
-					}
-				})
-			}
+				}
+				if fast.writes != slow.writes || fast.reads != slow.reads {
+					t.Errorf("device totals differ: fast %d/%d, slow %d/%d",
+						fast.writes, fast.reads, slow.writes, slow.reads)
+				}
+				if fast.metricsText != slow.metricsText {
+					t.Errorf("metrics registry differs:\nfast:\n%s\nslow:\n%s", fast.metricsText, slow.metricsText)
+				}
+				if fast.traceText != slow.traceText {
+					t.Errorf("trace events differ:\nfast:\n%s\nslow:\n%s", fast.traceText, slow.traceText)
+				}
+			})
 		}
 	}
 }
 
-// TestRetireLifetimeExtension pins the tentpole's payoff: under the repeat
+// TestRetireLifetimeExtension pins the decorator's payoff: under the repeat
 // attack the decorated run serves strictly more demand writes than the bare
 // run on the same device, reports its death cause and pool usage in the
-// result, exposes a monotone capacity curve, and exports the twl_retire_*
-// series.
+// result, exposes a monotone capacity curve, still absorbs bulk chunks, and
+// exports the twl_retire_* series.
 func TestRetireLifetimeExtension(t *testing.T) {
 	bare := diffRunOne(t, func(t *testing.T) wl.Scheme {
 		t.Helper()
@@ -175,7 +158,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 	}, "repeat", false)
 
 	reg := obs.NewRegistry()
-	s := buildRetired(t, "TWL_swp", "retire_outer", reg)
+	s := buildRetired(t, "TWL_swp")
 	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),
 		Metrics:         reg,
@@ -214,6 +197,11 @@ func TestRetireLifetimeExtension(t *testing.T) {
 		t.Fatalf("last retirement at %d demand writes, run ended at %d", last, res.DemandWrites)
 	}
 
+	// The decorated stack keeps the scheme's bulk path.
+	hist := reg.Histogram("twl_ff_run_length", obs.ExponentialBuckets(1, 4, 11), obs.L("scheme", s.Name())).Snapshot()
+	if hist.Count == 0 {
+		t.Error("retired TWL_swp absorbed no bulk chunks: fast path not taken")
+	}
 	if got := reg.Gauge("twl_retire_retired_pages").Value(); got != float64(res.RetiredPages) {
 		t.Errorf("twl_retire_retired_pages = %v, want %d", got, res.RetiredPages)
 	}
@@ -232,114 +220,81 @@ func TestRetireCheckpointResume(t *testing.T) {
 		schemes = schemes[:1]
 	}
 	for _, name := range schemes {
-		for order := range retireOrders {
-			t.Run(name+"/"+order, func(t *testing.T) {
-				baseline := retireRunOne(t, name, order, "repeat", false, 0, nil)
-				requireRetired(t, baseline)
-				every := baseline.res.DemandWrites/16 | 1
-				// Kill one write short of the capacity death: the last
-				// checkpoint sits beyond the first retirement, so the resumed
-				// run starts with a partially consumed spare pool.
-				for _, killAt := range []uint64{baseline.res.DemandWrites / 2, baseline.res.DemandWrites - 1} {
-					path := filepath.Join(t.TempDir(), "run.ckpt")
-					killed := retireRunOne(t, name, order, "repeat", false, killAt, &CheckpointConfig{Path: path, Every: every})
-					if !killed.res.Capped {
-						t.Fatalf("killed run was not capped at %d: %+v", killAt, killed.res)
-					}
-					if _, err := os.Stat(path); err != nil {
-						t.Fatalf("killed run left no checkpoint: %v", err)
-					}
-					resumed := retireRunOne(t, name, order, "repeat", false, 0, &CheckpointConfig{Path: path, Every: every, Resume: true})
-					if resumed.res != baseline.res {
-						t.Errorf("kill at %d: LifetimeResult differs:\nresumed:  %+v\nbaseline: %+v", killAt, resumed.res, baseline.res)
-					}
-					for pp := range baseline.wear {
-						if resumed.wear[pp] != baseline.wear[pp] || resumed.payload[pp] != baseline.payload[pp] {
-							t.Fatalf("kill at %d: device state diverges at page %d", killAt, pp)
-						}
-					}
-					if resumed.metricsText != baseline.metricsText {
-						t.Errorf("kill at %d: metrics diverge", killAt)
+		t.Run(name+"/"+retireStack, func(t *testing.T) {
+			baseline := retireRunOne(t, name, "repeat", false, 0, nil)
+			requireRetired(t, baseline)
+			every := baseline.res.DemandWrites/16 | 1
+			// Kill one write short of the capacity death: the last
+			// checkpoint sits beyond the first retirement, so the resumed
+			// run starts with a partially consumed spare pool.
+			for _, killAt := range []uint64{baseline.res.DemandWrites / 2, baseline.res.DemandWrites - 1} {
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				killed := retireRunOne(t, name, "repeat", false, killAt, &CheckpointConfig{Path: path, Every: every})
+				if !killed.res.Capped {
+					t.Fatalf("killed run was not capped at %d: %+v", killAt, killed.res)
+				}
+				if _, err := os.Stat(path); err != nil {
+					t.Fatalf("killed run left no checkpoint: %v", err)
+				}
+				resumed := retireRunOne(t, name, "repeat", false, 0, &CheckpointConfig{Path: path, Every: every, Resume: true})
+				if resumed.res != baseline.res {
+					t.Errorf("kill at %d: LifetimeResult differs:\nresumed:  %+v\nbaseline: %+v", killAt, resumed.res, baseline.res)
+				}
+				for pp := range baseline.wear {
+					if resumed.wear[pp] != baseline.wear[pp] || resumed.payload[pp] != baseline.payload[pp] {
+						t.Fatalf("kill at %d: device state diverges at page %d", killAt, pp)
 					}
 				}
-			})
-		}
+				if resumed.metricsText != baseline.metricsText {
+					t.Errorf("kill at %d: metrics diverge", killAt)
+				}
+			}
+		})
 	}
 }
 
-// TestDecoratorStackingSnapshots: for every registered scheme and both
-// stacking orders, the composite keeps the bare scheme's sweep fast path
-// exactly, and a mid-traffic snapshot restores into a fresh composite
-// byte-identically.
+// TestDecoratorStackingSnapshots: for every registered scheme, the
+// retirement composite keeps the bare scheme's sweep fast path exactly, and
+// a mid-traffic snapshot restores into a fresh composite byte-identically.
 func TestDecoratorStackingSnapshots(t *testing.T) {
 	for _, name := range wl.Names() {
-		for order := range retireOrders {
-			t.Run(name+"/"+order, func(t *testing.T) {
-				bareDev := wltest.NewSpareDevice(t, 64, 4, 1e9, diffSeed)
-				bare, err := wl.Default.Build(name, bareDev, diffSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reg := obs.NewRegistry()
-				s := buildRetired(t, name, order, reg)
-				_, bareSW := bare.(wl.SweepWriter)
-				if _, ok := s.(wl.SweepWriter); ok != bareSW {
-					t.Errorf("SweepWriter: composite %v, bare %v", ok, bareSW)
-				}
-				if _, ok := wl.AsCapacityReporter(s); !ok {
-					t.Error("composite hides the capacity reporter")
-				}
+		t.Run(name+"/"+retireStack, func(t *testing.T) {
+			bareDev := wltest.NewSpareDevice(t, 64, 4, 1e9, diffSeed)
+			bare, err := wl.Default.Build(name, bareDev, diffSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := buildRetired(t, name)
+			_, bareSW := bare.(wl.SweepWriter)
+			if _, ok := s.(wl.SweepWriter); ok != bareSW {
+				t.Errorf("SweepWriter: composite %v, bare %v", ok, bareSW)
+			}
+			if _, ok := wl.AsCapacityReporter(s); !ok {
+				t.Error("composite hides the capacity reporter")
+			}
 
-				n := wl.LogicalPages(s)
-				for i := 0; i < 5000; i++ {
-					s.Write(i*13%n, uint64(i))
-				}
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := s.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				s2 := buildRetired(t, name, order, obs.NewRegistry())
-				if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-				var buf2 bytes.Buffer
-				if err := s2.Snapshot(&buf2); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-					t.Error("snapshot round trip through the decorator stack not byte-identical")
-				}
-			})
-		}
-	}
-}
-
-// TestInstrumentedStartGapBulkPath: an instrumented run still absorbs bulk
-// chunks, and the instrumentation counts every absorbed write.
-func TestInstrumentedStartGapBulkPath(t *testing.T) {
-	dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-	reg := obs.NewRegistry()
-	s, err := wl.Default.Build("StartGap", dev, diffSeed, wl.WithInstrumentation(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
-		MaxDemandWrites: 3 * dev.TotalEndurance(),
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := reg.Histogram("twl_ff_run_length", obs.ExponentialBuckets(1, 4, 11), obs.L("scheme", "StartGap")).Snapshot()
-	if hist.Count == 0 {
-		t.Fatal("instrumented StartGap absorbed no bulk chunks: fast path not taken")
-	}
-	// The instrumentation layer saw every demand write, bulk or not.
-	instrWrites := reg.Counter("twl_scheme_requests_total", obs.L("scheme", "StartGap"), obs.L("op", "write")).Value()
-	if instrWrites != res.DemandWrites {
-		t.Errorf("instrumented write counter %d, demand writes %d", instrWrites, res.DemandWrites)
+			n := wl.LogicalPages(s)
+			for i := 0; i < 5000; i++ {
+				s.Write(i*13%n, uint64(i))
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			s2 := buildRetired(t, name)
+			if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			var buf2 bytes.Buffer
+			if err := s2.Snapshot(&buf2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+				t.Error("snapshot round trip through the decorator stack not byte-identical")
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"twl/internal/attack"
 	"twl/internal/core"
+	"twl/internal/obs"
 	"twl/internal/pcm"
 	"twl/internal/trace"
 	"twl/internal/wl"
@@ -203,6 +204,84 @@ func TestRunPerfTWLOverheadSmall(t *testing.T) {
 	}
 	if res.Normalized == 1.0 {
 		t.Fatal("TWL shows exactly zero overhead; cost accounting is broken")
+	}
+}
+
+// blockCounter counts the blocked requests its scheme reports, as a
+// reference for the metrics a performance run records.
+type blockCounter struct {
+	wl.Scheme
+	blocked uint64
+}
+
+func (b *blockCounter) Write(la int, tag uint64) wl.Cost {
+	c := b.Scheme.Write(la, tag)
+	if c.Blocked {
+		b.blocked++
+	}
+	return c
+}
+
+func (b *blockCounter) Read(la int) (uint64, wl.Cost) {
+	v, c := b.Scheme.Read(la)
+	if c.Blocked {
+		b.blocked++
+	}
+	return v, c
+}
+
+// TestRunPerfMetrics: with a registry, a performance run records every
+// request of the scheme and of the NOWL baseline once, and the latency
+// histograms add up to the cycle totals the result reports.
+func TestRunPerfMetrics(t *testing.T) {
+	const (
+		pages    = 256
+		requests = 40000
+	)
+	bench, _ := trace.BenchmarkByName("vips")
+	reg := obs.NewRegistry()
+	cfg := PerfConfig{Requests: requests, MaxBandwidthMBps: 3309, Metrics: reg}
+	var scheme, base *blockCounter
+	build := func() (wl.Scheme, error) {
+		s, err := core.New(wltest.NewDevice(t, pages, 11), core.DefaultConfig(3))
+		scheme = &blockCounter{Scheme: s}
+		return scheme, err
+	}
+	baseline := func() (wl.Scheme, error) {
+		base = &blockCounter{Scheme: nowl.New(wltest.NewDevice(t, pages, 11))}
+		return base, nil
+	}
+	res, err := RunPerf(bench, pages, 21, cfg, build, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheme.blocked == 0 {
+		t.Fatal("TWL blocked no request; the blocked series is untested")
+	}
+	for _, c := range []struct {
+		name    string
+		cycles  int64
+		blocked uint64
+	}{
+		{res.Scheme, res.MemCycles, scheme.blocked},
+		{"NOWL", res.BaselineMemCycles, base.blocked},
+	} {
+		label := obs.L("scheme", c.name)
+		writes := reg.Counter("twl_scheme_requests_total", label, obs.L("op", "write")).Value()
+		reads := reg.Counter("twl_scheme_requests_total", label, obs.L("op", "read")).Value()
+		if writes+reads != requests || writes == 0 || reads == 0 {
+			t.Errorf("%s: %d writes + %d reads recorded, want %d requests", c.name, writes, reads, requests)
+		}
+		if got := reg.Counter("twl_scheme_blocked_total", label).Value(); got != c.blocked {
+			t.Errorf("%s: blocked counter %d, scheme reported %d", c.name, got, c.blocked)
+		}
+		h := reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label).Snapshot()
+		if h.Count != requests || h.Sum != float64(c.cycles) {
+			t.Errorf("%s: latency count %d sum %v, want %d and %d", c.name, h.Count, h.Sum, requests, c.cycles)
+		}
+		if got := reg.Counter("twl_perf_requests_total", label, obs.L("benchmark", "vips")).Value(); got != requests {
+			t.Errorf("%s: twl_perf_requests_total %d, want %d", c.name, got, requests)
+		}
 	}
 }
 

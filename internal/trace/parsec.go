@@ -55,6 +55,24 @@ func (b Benchmark) ConcentrationRatio() float64 {
 	return b.NoWLLifetimeYears / b.IdealLifetimeYears
 }
 
+// Footprint returns the number of distinct pages a generator over pages
+// logical pages writes: FootprintFraction of them (DefaultFootprintFraction
+// when unset), capped at pages.
+func (b Benchmark) Footprint(pages int) int {
+	frac := b.FootprintFraction
+	if frac <= 0 {
+		frac = DefaultFootprintFraction
+	}
+	f := int(frac * float64(pages))
+	// The hottest-page share target 1/(r·N) needs the footprint to hold at
+	// least r·N pages (a uniform spread over fewer pages would already be
+	// more concentrated than the benchmark).
+	if least := int(b.ConcentrationRatio()*float64(pages)) + 2; f < least {
+		f = least
+	}
+	return min(f, pages)
+}
+
 // PARSEC returns the thirteen benchmarks of Table 2.
 func PARSEC() []Benchmark {
 	return []Benchmark{
@@ -135,23 +153,10 @@ func NewSynthetic(bench Benchmark, pages int, seed uint64) (*Synthetic, error) {
 		return nil, fmt.Errorf("trace: benchmark %q concentration ratio %v >= 1", bench.Name, r)
 	}
 	g := &Synthetic{bench: bench, pages: pages, src: rng.NewXorshift(seed)}
-	frac := bench.FootprintFraction
-	if frac <= 0 {
-		frac = DefaultFootprintFraction
+	if bench.FootprintFraction > 1 {
+		return nil, fmt.Errorf("trace: FootprintFraction %v > 1", bench.FootprintFraction)
 	}
-	if frac > 1 {
-		return nil, fmt.Errorf("trace: FootprintFraction %v > 1", frac)
-	}
-	g.footprint = int(frac * float64(pages))
-	// The hottest-page share target 1/(r·N) needs the footprint to hold at
-	// least r·N pages (a uniform spread over fewer pages would already be
-	// more concentrated than the benchmark).
-	if min := int(r*float64(pages)) + 2; g.footprint < min {
-		g.footprint = min
-	}
-	if g.footprint > pages {
-		g.footprint = pages
-	}
+	g.footprint = bench.Footprint(pages)
 	gf := bench.GapFactor
 	if gf <= 0 {
 		gf = DefaultGapFactor

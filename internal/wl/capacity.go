@@ -62,26 +62,3 @@ func AsCapacityReporter(s Scheme) (CapacityReporter, bool) {
 	}
 	return nil, false
 }
-
-// RetireConfig configures the page-retirement decorator. The spare pool
-// itself is device geometry (pcm.Geometry.SparePages) — the decorator uses
-// whatever spares the device was built with.
-type RetireConfig struct {
-	// CapacityThreshold ends the run once more than this fraction of the
-	// visible pages would be retired, modeling a device that is declared
-	// dead at N% capacity loss even if spares remain. Zero means no
-	// threshold: the run ends only when the spare pool is exhausted.
-	// Must lie in [0, 1).
-	CapacityThreshold float64
-}
-
-// retireFactory is installed by internal/wl/retire's init. The indirection
-// keeps this package free of a dependency on its own decorator subpackage
-// while letting WithRetirement construct one.
-var retireFactory func(inner Scheme, cfg RetireConfig) (Scheme, error)
-
-// RegisterRetirementFactory installs the retirement decorator constructor.
-// Called from internal/wl/retire's init; last registration wins.
-func RegisterRetirementFactory(f func(inner Scheme, cfg RetireConfig) (Scheme, error)) {
-	retireFactory = f
-}

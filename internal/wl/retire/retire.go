@@ -28,13 +28,21 @@ import (
 	"twl/internal/wl"
 )
 
-func init() {
-	wl.RegisterRetirementFactory(New)
+// Config configures the decorator. The spare pool itself is device
+// geometry (pcm.Geometry.SparePages) — the decorator uses whatever spares
+// the device was built with.
+type Config struct {
+	// CapacityThreshold ends the run once more than this fraction of the
+	// visible pages would be retired, modeling a device that is declared
+	// dead at N% capacity loss even if spares remain. Zero means no
+	// threshold: the run ends only when the spare pool is exhausted.
+	// Must lie in [0, 1).
+	CapacityThreshold float64
 }
 
 // New wraps inner with the retirement decorator. The scheme's device must
 // have been built with a spare region (pcm.Geometry.SparePages > 0).
-func New(inner wl.Scheme, cfg wl.RetireConfig) (wl.Scheme, error) {
+func New(inner wl.Scheme, cfg Config) (wl.Scheme, error) {
 	dev := inner.Device()
 	if dev.SparePages() == 0 {
 		return nil, fmt.Errorf("retire: device has no spare pages (set Geometry.SparePages): %w", wl.ErrBadConfig)
@@ -60,12 +68,12 @@ func New(inner wl.Scheme, cfg wl.RetireConfig) (wl.Scheme, error) {
 
 // decorator intercepts the write paths, drains the device's failure log
 // after each one, and retires failed pages into the spare pool. It stays
-// unexported: it is not a registerable scheme, only a layer Build/Compose
-// put over one.
+// unexported: it is not a registerable scheme, only a layer New puts over
+// one.
 type decorator struct {
 	wl.Scheme              // snap: wrapped scheme; checkpointed by its own Snapshot call below
 	dev        *pcm.Device // snap: construction input (the scheme's device)
-	limit      int         // snap: derived from RetireConfig at New
+	limit      int         // snap: derived from Config at New
 	handled    int         // failures drained from the device log
 	retired    int         // distinct visible pages retired
 	sparesUsed int

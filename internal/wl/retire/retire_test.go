@@ -31,7 +31,7 @@ func spareDevice(t *testing.T, pages, spares int, endurance, spareEnd uint64) *p
 	return d
 }
 
-func retired(t *testing.T, dev *pcm.Device, cfg wl.RetireConfig) wl.Scheme {
+func retired(t *testing.T, dev *pcm.Device, cfg retire.Config) wl.Scheme {
 	t.Helper()
 	s, err := retire.New(nowl.New(dev), cfg)
 	if err != nil {
@@ -55,16 +55,16 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := retire.New(nowl.New(plain), wl.RetireConfig{}); !errors.Is(err, wl.ErrBadConfig) {
+	if _, err := retire.New(nowl.New(plain), retire.Config{}); !errors.Is(err, wl.ErrBadConfig) {
 		t.Fatalf("no-spare device: err = %v, want ErrBadConfig", err)
 	}
 	dev := spareDevice(t, 4, 1, 10, 10)
 	for _, bad := range []float64{-0.1, 1, 1.5} {
-		if _, err := retire.New(nowl.New(dev), wl.RetireConfig{CapacityThreshold: bad}); !errors.Is(err, wl.ErrBadConfig) {
+		if _, err := retire.New(nowl.New(dev), retire.Config{CapacityThreshold: bad}); !errors.Is(err, wl.ErrBadConfig) {
 			t.Fatalf("threshold %v: err = %v, want ErrBadConfig", bad, err)
 		}
 	}
-	if _, err := retire.New(nowl.New(dev), wl.RetireConfig{CapacityThreshold: 0.5}); err != nil {
+	if _, err := retire.New(nowl.New(dev), retire.Config{CapacityThreshold: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +72,7 @@ func TestNewValidation(t *testing.T) {
 // TestCapabilitiesPreserved: retire over NOWL keeps the sweep fast path
 // and exposes the capacity reporter through the walk.
 func TestCapabilitiesPreserved(t *testing.T) {
-	s := retired(t, spareDevice(t, 4, 1, 10, 10), wl.RetireConfig{})
+	s := retired(t, spareDevice(t, 4, 1, 10, 10), retire.Config{})
 	if _, ok := s.(wl.SweepWriter); !ok {
 		t.Error("SweepWriter lost")
 	}
@@ -90,7 +90,7 @@ func TestCapabilitiesPreserved(t *testing.T) {
 // retirement at its demand-write count.
 func TestRetirementExtendsLifetime(t *testing.T) {
 	dev := spareDevice(t, 4, 2, 5, 50)
-	s := retired(t, dev, wl.RetireConfig{})
+	s := retired(t, dev, retire.Config{})
 
 	// Kill page 1: five writes reach its endurance.
 	for i := 0; i < 5; i++ {
@@ -132,7 +132,7 @@ func TestRetirementExtendsLifetime(t *testing.T) {
 // re-points to a fresh spare without counting as a new retirement.
 func TestSpareChaining(t *testing.T) {
 	dev := spareDevice(t, 4, 2, 3, 4)
-	s := retired(t, dev, wl.RetireConfig{})
+	s := retired(t, dev, retire.Config{})
 	// 3 writes kill page 0 (retire to spare 4); 4 more kill spare 4
 	// (re-point to spare 5).
 	for i := 0; i < 7; i++ {
@@ -160,7 +160,7 @@ func TestSpareChaining(t *testing.T) {
 // unacknowledged so the simulator sees the run end.
 func TestSpareExhaustion(t *testing.T) {
 	dev := spareDevice(t, 4, 1, 3, 3)
-	s := retired(t, dev, wl.RetireConfig{})
+	s := retired(t, dev, retire.Config{})
 	// Page 2 dies (takes the only spare), then the spare dies with no
 	// replacement available.
 	for i := 0; i < 6; i++ {
@@ -190,7 +190,7 @@ func TestSpareExhaustion(t *testing.T) {
 // the threshold even with spares left in the pool.
 func TestCapacityThreshold(t *testing.T) {
 	dev := spareDevice(t, 8, 4, 2, 100)
-	s := retired(t, dev, wl.RetireConfig{CapacityThreshold: 0.25})
+	s := retired(t, dev, retire.Config{CapacityThreshold: 0.25})
 	st := stats(t, s)
 	if st.RetireLimit != 2 {
 		t.Fatalf("RetireLimit = %d, want 2", st.RetireLimit)
@@ -219,7 +219,7 @@ func TestCapacityThreshold(t *testing.T) {
 // with the curve's demand-write counts identical to the per-request path.
 func TestBulkPathsRetire(t *testing.T) {
 	dev := spareDevice(t, 4, 2, 10, 100)
-	s := retired(t, dev, wl.RetireConfig{})
+	s := retired(t, dev, retire.Config{})
 	sw := s.(wl.SweepWriter)
 
 	if _, absorbed := s.WriteRun(1, 7, 15); absorbed != 10 {
@@ -257,7 +257,7 @@ func TestBulkPathsRetire(t *testing.T) {
 func TestDataIntegrityThroughRetirement(t *testing.T) {
 	const pages = 8
 	dev := spareDevice(t, pages, 4, 20, 200)
-	s := retired(t, dev, wl.RetireConfig{})
+	s := retired(t, dev, retire.Config{})
 	shadow := make(map[int]uint64)
 	rng := uint64(0x9e3779b97f4a7c15)
 	for op := 0; op < 400; op++ {
@@ -292,7 +292,7 @@ func TestDataIntegrityThroughRetirement(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	build := func() (*pcm.Device, wl.Scheme) {
 		dev := spareDevice(t, 4, 2, 5, 50)
-		return dev, retired(t, dev, wl.RetireConfig{CapacityThreshold: 0.9})
+		return dev, retired(t, dev, retire.Config{CapacityThreshold: 0.9})
 	}
 	dev, s := build()
 	for i := 0; i < 8; i++ {
@@ -352,21 +352,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("scheme state diverged after resume")
-	}
-}
-
-// TestWithRetirementOption: importing this package links the factory, so
-// wl.Compose / wl.Build can attach retirement via the functional option.
-func TestWithRetirementOption(t *testing.T) {
-	dev := spareDevice(t, 4, 1, 10, 10)
-	s, err := wl.Compose(nowl.New(dev), wl.WithRetirement(wl.RetireConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := wl.AsCapacityReporter(s); !ok {
-		t.Fatal("WithRetirement did not attach the capacity reporter")
-	}
-	if _, err := wl.Compose(nowl.New(dev), wl.WithRetirement(wl.RetireConfig{CapacityThreshold: 2})); !errors.Is(err, wl.ErrBadConfig) {
-		t.Fatalf("bad threshold through option: %v", err)
 	}
 }

@@ -1,14 +1,14 @@
 package wl
 
-// This file is the decorator composition layer. A decorator (metrics
-// instrumentation, fault-tolerant page retirement, …) overrides a few Scheme
-// methods and forwards the rest. Every Scheme method — invariant checks,
-// checkpoints and the same-address fast path included — is part of the
-// interface, so a wrapper struct embedding the body forwards them all; the
-// one optional capability, the sweep fast path (SweepWriter), is what a
+// This file is the decorator composition layer. A decorator (today the
+// fault-tolerant page retirement of internal/wl/retire) overrides a few
+// Scheme methods and forwards the rest. Every Scheme method — invariant
+// checks, checkpoints and the same-address fast path included — is part of
+// the interface, so a wrapper struct embedding the body forwards them all;
+// the one optional capability, the sweep fast path (SweepWriter), is what a
 // naive wrapper would shed or invent. Wrap is the one place that builds a
-// wrapper whose method set tracks it exactly; Instrument and retire.New both
-// build on it.
+// wrapper whose method set tracks it exactly; retire.New builds on it, and
+// a decorator is attached by calling its constructor on a built scheme.
 
 // base supplies the capabilities every composite carries regardless of what
 // the wrapped scheme implements: the logical page count (decorators never

@@ -198,61 +198,19 @@ type reporterBody struct{ Scheme }
 
 func (b *reporterBody) CapacityStats() CapacityStats { return CapacityStats{SparePages: 42} }
 
-// TestComposeAppliesInOrder: first option innermost.
-func TestComposeAppliesInOrder(t *testing.T) {
-	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, false)
-	var order []string
-	tag := func(name string) Option {
-		return WithDecorator(func(s Scheme) (Scheme, error) {
-			order = append(order, name)
-			return Wrap(&passBody{Scheme: s}, s), nil
-		})
-	}
-	s, err := Compose(inner, tag("a"), tag("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("decorator order = %v, want [a b]", order)
-	}
-	if s.Name() != "cap" {
-		t.Fatalf("composed scheme name = %q", s.Name())
-	}
-}
-
-// TestComposeErrors: option and wrapper failures surface.
-func TestComposeErrors(t *testing.T) {
-	dev := testDevice(t, 8)
-	inner, _ := capBuild(dev, false)
-	if _, err := Compose(inner, WithDecorator(nil)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("nil wrapper err = %v, want ErrBadConfig", err)
-	}
-	if _, err := Compose(inner, WithInstrumentation(nil)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("nil registry err = %v, want ErrBadConfig", err)
-	}
-	boom := errors.New("boom")
-	_, err := Compose(inner, WithDecorator(func(Scheme) (Scheme, error) { return nil, boom }))
-	if !errors.Is(err, boom) {
-		t.Fatalf("wrapper failure err = %v, want boom", err)
-	}
-}
-
-// TestRegistryBuildWithOptions: Build is New plus decorator composition.
+// TestRegistryBuildWithOptions: Build returns the factory's scheme itself,
+// with no decorator layer over it; decorators are applied by their own
+// constructors on a built scheme.
 func TestRegistryBuildWithOptions(t *testing.T) {
 	r := NewRegistry()
 	r.MustAdd(Registration{Name: "Fake", New: fakeFactory("Fake")})
 	dev := testDevice(t, 8)
-	wrapped := false
-	s, err := r.Build("fake", dev, 1, WithDecorator(func(s Scheme) (Scheme, error) {
-		wrapped = true
-		return Wrap(&passBody{Scheme: s}, s), nil
-	}))
+	s, err := r.Build("fake", dev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wrapped || s.Name() != "Fake" {
-		t.Fatalf("Build did not apply the decorator (wrapped=%v, name=%q)", wrapped, s.Name())
+	if _, ok := s.(Unwrapper); ok || s.Name() != "Fake" {
+		t.Fatalf("Build returned a decorated or misnamed scheme (name=%q)", s.Name())
 	}
 	if _, err := r.Build("bogus", dev, 1); !errors.Is(err, ErrUnknownScheme) {
 		t.Fatalf("Build unknown scheme err = %v", err)

@@ -42,14 +42,6 @@ type ShardedConfig struct {
 	// stream over its own logical space, seeded per shard — the
 	// bank-interleaved view of a device-wide attack).
 	Mode AttackMode
-	// Bench, when non-empty, names a benchmark trace workload instead of an
-	// attack. Trace sources do not factor across bank groups (their address
-	// statistics are not interleave-invariant), so RunShardedLifetime
-	// rejects such configs with ErrUnshardableSource; callers route them to
-	// the unsharded path (RunBenchCell). The field exists so grid
-	// schedulers can submit every cell through one config type and branch
-	// on the typed error instead of guessing.
-	Bench string
 	// Shards is the number of independent bank groups; 0 uses the full
 	// geometry's Ranks × Banks (= 128). SystemConfig.Pages must divide
 	// evenly by it.
@@ -184,9 +176,11 @@ func skippedShard(scheme string) LifetimeResult {
 // arithmetic and its reference tests.
 //
 // The configuration is restricted to what shards cleanly: attack sources
-// (each shard attacks its own logical space) and no spare pool
-// (SystemConfig.SparePages must be 0 — retirement remaps across the whole
-// device and does not factor).
+// (each shard attacks its own logical space; benchmark workloads do not
+// factor across bank groups, since their address statistics are not
+// interleave-invariant, and run unsharded through RunBenchCell) and no
+// spare pool (SystemConfig.SparePages must be 0 — retirement remaps across
+// the whole device and does not factor).
 func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -194,10 +188,6 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 	if sys.SparePages != 0 {
 		return nil, fmt.Errorf("twl: %w: sharded runs do not support spare pages (got %d)",
 			ErrBadConfig, sys.SparePages)
-	}
-	if cfg.Bench != "" {
-		return nil, fmt.Errorf("%w: benchmark workload %q must run unsharded (RunBenchCell)",
-			ErrUnshardableSource, cfg.Bench)
 	}
 	shards := cfg.Shards
 	if shards == 0 {

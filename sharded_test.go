@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -210,20 +209,6 @@ func TestShardedDefaultShardCount(t *testing.T) {
 	}
 	if res.ShardPages != sys.Pages/res.Shards {
 		t.Errorf("ShardPages = %d, want %d", res.ShardPages, sys.Pages/res.Shards)
-	}
-}
-
-// TestShardedRejectsBenchSource: benchmark trace sources do not factor
-// across bank groups, so a Bench config must fail with the typed
-// ErrUnshardableSource (the service routes such cells to RunBenchCell).
-func TestShardedRejectsBenchSource(t *testing.T) {
-	sys := shardedTestSystem(3)
-	_, err := RunShardedLifetime(sys, ShardedConfig{Scheme: "TWL_swp", Bench: "vips", Shards: 4})
-	if !errors.Is(err, ErrUnshardableSource) {
-		t.Fatalf("bench source: got %v, want ErrUnshardableSource", err)
-	}
-	if !strings.Contains(err.Error(), "vips") {
-		t.Errorf("error %v does not name the rejected workload", err)
 	}
 }
 
