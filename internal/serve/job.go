@@ -189,16 +189,23 @@ func (c *cell) sourceKind() (kind, name string) {
 // under a version prefix so a change to result semantics invalidates old
 // cache entries. Sharding is part of the key — a sharded run is a different
 // (also deterministic) experiment than an unsharded one, not a different
-// route to the same bytes.
+// route to the same bytes. Bench cells always run unsharded, so they are
+// keyed with shards=0 and a resubmission without shards hits the same
+// cache entry.
 //
 // v2 dropped v1's storage-layout field (one layout remains, and it never
 // changed a result) and marks the sizing of bench workloads to the
 // scheme's logical pages, which changed StartGap's bench results.
-func cellMaterial(sys twl.SystemConfig, scheme, source string, shards int, maxDemand uint64) string {
+func cellMaterial(sp JobSpec, scheme, source string, seed uint64) string {
+	shards := sp.Shards
+	if strings.HasPrefix(source, "bench:") {
+		shards = 0
+	}
+	sys := sp.system(seed)
 	return fmt.Sprintf(
 		"twlcell/v2|scheme=%s|source=%s|pages=%d|page_size=%d|mean_endurance=%g|sigma_fraction=%g|seed=%d|shards=%d|cap=%d",
 		scheme, source, sys.Pages, sys.PageSize, sys.MeanEndurance, sys.SigmaFraction,
-		sys.Seed, shards, maxDemand)
+		sys.Seed, shards, sp.MaxDemandWrites)
 }
 
 // buildCells expands a normalized spec into its deterministic cell list:
@@ -215,18 +222,11 @@ func buildCells(sp JobSpec) []*cell {
 	for _, scheme := range sp.Schemes {
 		for _, src := range sources {
 			for _, seed := range sp.Seeds {
-				shards := sp.Shards
-				if strings.HasPrefix(src, "bench:") {
-					// Bench cells always run unsharded; key them that way
-					// so a resubmission without shards hits the same cache
-					// entry.
-					shards = 0
-				}
 				cells = append(cells, &cell{
 					Scheme: scheme,
 					Source: src,
 					Seed:   seed,
-					Key:    cache.Key(cellMaterial(sp.system(seed), scheme, src, shards, sp.MaxDemandWrites)),
+					Key:    cache.Key(cellMaterial(sp, scheme, src, seed)),
 					Status: cellPending,
 				})
 			}
@@ -323,7 +323,7 @@ const envelopeVersion = 1
 
 // cellEnvelope is the cached payload of one completed cell: the result plus
 // the key material it was derived from, so a cache entry is auditable
-// without the submitting job.
+// without the submitting job and settles only the cell its material names.
 type cellEnvelope struct {
 	Version  int        `json:"version"`
 	Material string     `json:"material"`

@@ -56,9 +56,6 @@ type Config struct {
 	// (0: the simulator default). It is also the preemption latency: a
 	// draining worker stops at the next checkpoint boundary.
 	CheckpointEvery uint64
-	// TraceEvery is the per-job trace cadence passed to the job tracer (0:
-	// the obs default).
-	TraceEvery uint64
 }
 
 // ErrClosed is returned by Submit and Cancel after Close began draining.
@@ -172,7 +169,7 @@ func New(cfg Config) (*Server, error) {
 	s.mu.Lock()
 	for _, j := range jobs {
 		j.trace = &obs.TraceBuffer{}
-		j.tracer = obs.NewTracer(j.trace, cfg.TraceEvery)
+		j.tracer = obs.NewTracer(j.trace, 0)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if n, ok := jobSeq(j.id); ok && n > s.lastID {
@@ -242,7 +239,7 @@ func (s *Server) Submit(spec JobSpec) (id string, cells int, err error) {
 		cells: list,
 		trace: &obs.TraceBuffer{},
 	}
-	j.tracer = obs.NewTracer(j.trace, s.cfg.TraceEvery)
+	j.tracer = obs.NewTracer(j.trace, 0)
 	// Persist before publishing: a job whose submission errored must not
 	// linger in memory and run anyway (the restart path would then also
 	// resurrect a job its submitter was told failed).
@@ -354,27 +351,24 @@ func (s *Server) runCell(j *job, i int) {
 	c := j.cells[i] // the slice is immutable; the cell's state is not
 	j.tracer.Emit("cell_start", obs.F("name", c.name()), obs.F("key", c.Key))
 
+	material := cellMaterial(j.spec, c.Scheme, c.Source, c.Seed)
 	if payload, ok, err := s.store.Get(c.Key); err == nil && ok {
 		var env cellEnvelope
-		if json.Unmarshal(payload, &env) == nil && env.Version == envelopeVersion {
+		if json.Unmarshal(payload, &env) == nil && env.Version == envelopeVersion && env.Material == material {
 			// Another job may have completed this cell after a preemption
 			// left a checkpoint behind; it will never resume now.
 			removeCheckpoints(s.ckptDir, c.Key)
 			s.finishCell(j, i, &env.Result, true, nil)
 			return
 		}
-		// Unreadable or version-skewed entry: treat as a miss and recompute
-		// (the Put below overwrites it).
+		// Unreadable, version-skewed or foreign (a key collision) entry:
+		// treat as a miss and recompute (the Put below overwrites it).
 	}
 
 	res, err := s.simulate(j, c)
 	switch {
 	case err == nil:
-		env := cellEnvelope{
-			Version:  envelopeVersion,
-			Material: cellMaterial(j.spec.system(c.Seed), c.Scheme, c.Source, res.shards(), j.spec.MaxDemandWrites),
-			Result:   res,
-		}
+		env := cellEnvelope{Version: envelopeVersion, Material: material, Result: res}
 		payload, merr := json.Marshal(env)
 		if merr != nil {
 			removeCheckpoints(s.ckptDir, c.Key)
@@ -406,18 +400,10 @@ func (s *Server) runCell(j *job, i int) {
 	}
 }
 
-// shards reports the shard count a result ran with (0 when unsharded).
-func (r cellResult) shards() int {
-	if r.Sharded == nil {
-		return 0
-	}
-	return r.Sharded.Shards
-}
-
 // simulate runs the cell's simulation with preemption and checkpointing
 // wired in. Sharded specs route attack cells through the bank-sharded
 // runner; bench cells always run unsharded (their traces do not factor
-// across bank groups), matching the shards=0 key buildCells gives them.
+// across bank groups), matching the shards=0 key cellMaterial gives them.
 //
 // A panicking simulation — a scheme bug that the cell's configuration
 // reaches — is returned as an error, so the cell settles failed instead of

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"twl"
+	"twl/internal/cache"
 	"twl/internal/obs"
 )
 
@@ -294,6 +295,75 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	}
 	if st := srv.CacheStats(); st.Hits < 2 {
 		t.Errorf("cache stats %+v, want >= 2 hits", st)
+	}
+}
+
+// TestCacheEntryCheckedAgainstCell: a cache entry settles only the cell it
+// was written for. A torn entry, an entry of another envelope version and
+// an entry whose material names another cell (what a key collision leaves)
+// all read as misses: the cell simulates, equals RunAttackCell, and its
+// entry is replaced by one carrying its own material.
+func TestCacheEntryCheckedAgainstCell(t *testing.T) {
+	spec := JobSpec{
+		Schemes:       []string{"NOWL"},
+		Attacks:       []string{"repeat"},
+		Seeds:         []uint64{1, 2, 3},
+		Pages:         256,
+		MeanEndurance: 3000,
+	}
+	norm := spec
+	if err := norm.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cells := buildCells(norm)
+	planted := cellResult{Scheme: "TWL_swp", DemandWrites: 42}
+	envelope := func(version int, material string) []byte {
+		b, err := json.Marshal(cellEnvelope{Version: version, Material: material, Result: planted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	payloads := [][]byte{
+		envelope(envelopeVersion, cellMaterial(norm, "NOWL", "attack:repeat", 1))[:20],
+		envelope(envelopeVersion+1, cellMaterial(norm, "NOWL", "attack:repeat", 2)),
+		envelope(envelopeVersion, cellMaterial(norm, "TWL_swp", "attack:scan", 2)),
+	}
+	dir := t.TempDir()
+	store, err := cache.New(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if err := store.Put(c.Key, payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := newTestServer(t, dir, 1)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	st := submitAndWait(t, ts, spec)
+	if n := srv.Metrics().Counter("twl_serve_cells_total", obs.L("outcome", outcomeSimulated)).Value(); n != 3 {
+		t.Errorf("simulated %d cells, want 3", n)
+	}
+	for i, c := range st.Cells {
+		want, err := twl.RunAttackCell(norm.system(c.Seed), c.Scheme, twl.AttackRepeat, twl.LifetimeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Cached || c.Result.toLifetime() != want {
+			t.Errorf("cell %d (seed %d): cached %v, result %+v, want simulated %+v", i, c.Seed, c.Cached, *c.Result, want)
+		}
+		payload, ok, err := srv.store.Get(c.Key)
+		var env cellEnvelope
+		if err != nil || !ok || json.Unmarshal(payload, &env) != nil {
+			t.Fatalf("cell %d: entry unreadable after the run (ok %v, err %v)", i, ok, err)
+		}
+		if material := cellMaterial(norm, c.Scheme, c.Source, c.Seed); env.Version != envelopeVersion || env.Material != material || env.Result != *c.Result {
+			t.Errorf("cell %d: entry %+v, want version %d, material %q and the cell's result", i, env, envelopeVersion, material)
+		}
 	}
 }
 

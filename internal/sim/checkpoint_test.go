@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,6 +171,12 @@ func TestCheckpointResumePerRequestPath(t *testing.T) {
 // right after a write and checkpoint the same loop and source state, so
 // either resume must match the uninterrupted run exactly. The handoff is
 // loop code, not scheme code, so two Fig. 8 schemes cover it.
+//
+// For run and sweep sources, a per-request checkpoint resumes on bulkLoop.
+// A checkpoint bulkLoop writes mid-run holds the unserved rest of a run the
+// source has already committed past, which only bulkLoop can serve.
+// Resuming one with the fast path disabled must fail before a request is
+// served, and leave the checkpoint resumable on the fast path.
 func TestCheckpointResumeAcrossPaths(t *testing.T) {
 	for _, name := range []string{"TWL_swp", "SR"} {
 		t.Run(name, func(t *testing.T) {
@@ -180,6 +187,38 @@ func TestCheckpointResumeAcrossPaths(t *testing.T) {
 			ckptCompare(t, build, "parsec", true, false, baseline, killAt, every)
 			ckptCompare(t, build, "parsec", false, true, baseline, killAt, every)
 		})
+	}
+	for _, name := range []string{"NOWL", "TWL_swp"} {
+		for _, kind := range []string{"scan", "inconsistent", "trace"} {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				build := registryFactory(name)
+				baseline := ckptRunOne(t, build, kind, false, 0, nil)
+				every := baseline.res.DemandWrites/16 | 1
+				killAt := baseline.res.DemandWrites / 2
+				ckptCompare(t, build, kind, true, false, baseline, killAt, every)
+
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				ckpt := &CheckpointConfig{Path: path, Every: every, Resume: true}
+				ckptRunOne(t, build, kind, false, killAt, &CheckpointConfig{Path: path, Every: every})
+
+				s := build(t)
+				_, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
+					Metrics:            obs.NewRegistry(),
+					Trace:              obs.NewTracer(io.Discard, 1000),
+					DisableFastForward: true,
+					Checkpoint:         ckpt,
+				})
+				if err == nil || !strings.Contains(err.Error(), "bulk run") {
+					t.Fatalf("per-request resume of a mid-run bulk checkpoint: err %v, want a pending bulk run error", err)
+				}
+				if got, want := s.Stats().DemandWrites, killAt/every*every; got != want {
+					t.Errorf("refused resume served writes: demand %d, checkpoint holds %d", got, want)
+				}
+				if resumed := ckptRunOne(t, build, kind, false, 0, ckpt); resumed.res != baseline.res {
+					t.Errorf("fast-path resume after the refusal:\nresumed:  %+v\nbaseline: %+v", resumed.res, baseline.res)
+				}
+			})
+		}
 	}
 }
 

@@ -3,33 +3,32 @@ package sim
 import (
 	"testing"
 
-	"twl/internal/attack"
-	"twl/internal/trace"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
 )
 
-// benchSchemes are the fast-forward (RunWriter/SweepWriter) schemes; the
-// benchmark compares each against its own per-request baseline.
-var benchSchemes = []string{"NOWL", "StartGap", "SR", "SR2", "BWL", "TWL_swp", "TWL_ap", "TWL_rand", "WRL"}
+// benchKinds are the source kinds BenchmarkFastForward times: repeat and
+// inconsistent drive bulkLoop's run path, scan its sweep path, and parsec
+// (canneal) writeLoop's batched reads. The random attack has no run
+// structure for a fast path to absorb, and the trace kind is a test
+// fixture, not a workload.
+var benchKinds = []string{"repeat", "scan", "inconsistent", "parsec"}
 
 // benchLifetime times full lifetime runs (to first page failure) at the
-// SmallSystem scale: 512 pages, mean endurance 5000, σ = 11%. newSource
-// builds the request stream over the scheme's demand-addressable pages.
-func benchLifetime(b *testing.B, scheme string, newSource func(pages int) (Source, error), disableFF bool) {
+// SmallSystem scale (512 pages, mean endurance 5000, σ = 11%), with the
+// differential tests' seed and sources: diffSource builds the stream over
+// the scheme's demand-addressable pages.
+func benchLifetime(b *testing.B, scheme, kind string, disableFF bool) {
 	b.Helper()
 	var writes uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dev := wltest.NewDeviceEndurance(b, 512, 5000, 1)
-		s, err := wl.Default.Build(scheme, dev, 1)
+		dev := wltest.NewDeviceEndurance(b, 512, 5000, diffSeed)
+		s, err := wl.Default.Build(scheme, dev, diffSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		src, err := newSource(wl.LogicalPages(s))
-		if err != nil {
-			b.Fatal(err)
-		}
+		src := diffSource(b, kind, wl.LogicalPages(s))
 		b.StartTimer()
 		res, err := RunLifetime(s, src, LifetimeConfig{DisableFastForward: disableFF})
 		if err != nil {
@@ -40,47 +39,22 @@ func benchLifetime(b *testing.B, scheme string, newSource func(pages int) (Sourc
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
 
-// BenchmarkFastForward is the hot-loop benchmark pair behind BENCH_PR2.json
-// (cmd/benchff regenerates the committed numbers): each scheme × attack runs
-// once through the fast-forward path and once pinned to the per-request
-// path. The parsec rows do the same for the canneal workload, whose fast
-// path is writeLoop's batched reads. `make check` runs this with
-// -benchtime=1x as a smoke test.
+// BenchmarkFastForward times every registered scheme under each benchKinds
+// source twice: once through the fast paths (bulkLoop, writeLoop) and once
+// pinned to the per-request loop. Both rows of a pair serve the same
+// writes (TestFastForwardDifferential pins that), so the ratio of their
+// ns/op is the fast paths' speedup. `make bench` runs it with -count 5 and
+// writes no file; `make check` runs it with -benchtime=1x as a smoke test
+// over every cell.
 func BenchmarkFastForward(b *testing.B) {
-	for _, mode := range []attack.Mode{attack.Repeat, attack.Scan} {
-		attackSource := func(pages int) (Source, error) {
-			st, err := attack.New(attack.DefaultConfig(mode, pages, 1))
-			if err != nil {
-				return nil, err
-			}
-			return FromAttack(st), nil
-		}
-		for _, scheme := range benchSchemes {
-			b.Run(mode.String()+"/"+scheme+"/fast", func(b *testing.B) {
-				benchLifetime(b, scheme, attackSource, false)
+	for _, kind := range benchKinds {
+		for _, scheme := range wl.Names() {
+			b.Run(kind+"/"+scheme+"/fast", func(b *testing.B) {
+				benchLifetime(b, scheme, kind, false)
 			})
-			b.Run(mode.String()+"/"+scheme+"/perwrite", func(b *testing.B) {
-				benchLifetime(b, scheme, attackSource, true)
+			b.Run(kind+"/"+scheme+"/perwrite", func(b *testing.B) {
+				benchLifetime(b, scheme, kind, true)
 			})
 		}
-	}
-	canneal := func(pages int) (Source, error) {
-		bench, err := trace.BenchmarkByName("canneal")
-		if err != nil {
-			return nil, err
-		}
-		g, err := trace.NewSynthetic(bench, pages, 1)
-		if err != nil {
-			return nil, err
-		}
-		return FromWorkload(g), nil
-	}
-	for _, scheme := range benchSchemes {
-		b.Run("parsec/"+scheme+"/fast", func(b *testing.B) {
-			benchLifetime(b, scheme, canneal, false)
-		})
-		b.Run("parsec/"+scheme+"/perwrite", func(b *testing.B) {
-			benchLifetime(b, scheme, canneal, true)
-		})
 	}
 }

@@ -63,7 +63,7 @@ var diffKinds = []string{"repeat", "scan", "trace", "inconsistent", "parsec"}
 // diffSource builds the request source for one differential run, sized to
 // the scheme's demand-addressable space (schemes with spare gap pages serve
 // fewer logical pages than the device holds).
-func diffSource(t *testing.T, kind string, pages int) Source {
+func diffSource(t testing.TB, kind string, pages int) Source {
 	t.Helper()
 	switch kind {
 	case "repeat", "scan", "inconsistent":

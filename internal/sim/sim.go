@@ -455,6 +455,13 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 			if err := l.restoreCheckpoint(); err != nil {
 				return LifetimeResult{}, fmt.Errorf("sim: resume from %s: %w", ckpt.Path, err)
 			}
+			// The source has already committed past a pending bulk run, so
+			// only bulkLoop can serve its remainder.
+			_, run := src.(RunSource)
+			_, sweep := src.(SweepSource)
+			if l.runN > 0 && (cfg.DisableFastForward || !run && !sweep) {
+				return LifetimeResult{}, fmt.Errorf("sim: resume from %s: %d writes of a bulk run are pending, and this run does not take the fast-forward loop", ckpt.Path, l.runN)
+			}
 		}
 	}
 	if cfg.Stop != nil {
