@@ -14,15 +14,16 @@ fmt:
 
 # perfbench/ is a module of its own (./... stops at its go.mod), so it is
 # vetted separately: it wraps wl and sim interfaces and must keep compiling.
+# Copy safety of locks and typed atomics is vet's copylocks check; twlint
+# does not repeat it.
 vet:
 	go vet ./...
 	cd perfbench && go vet ./...
 
-# Project-specific static contracts (determinism, registry, cost accounting,
-# locks/atomics, concurrency discipline, hotpath allocation budget) — see
-# DESIGN.md "Static contracts". Exceptions live in twlint.allow (strict: a
-# stale entry is itself a finding); the hotpath escape-analysis budget lives
-# in twlint.budget.
+# Project-specific static contracts that go vet cannot check (determinism,
+# registry, cost accounting, typed atomics, concurrency discipline, hotpath
+# allocation budget) — see DESIGN.md "Static contracts". No finding can be
+# silenced; the hotpath escape-analysis budget lives in twlint.budget.
 lint:
 	go run ./cmd/twlint -budget twlint.budget ./...
 

@@ -62,7 +62,6 @@ func BenchmarkTable2Benchmarks(b *testing.B) {
 // scheme, reporting the per-attack lifetimes in years.
 func BenchmarkFig6AttackLifetime(b *testing.B) {
 	for _, scheme := range []string{"BWL", "SR", "TWL_ap", "TWL_swp", "NOWL"} {
-		scheme := scheme
 		b.Run(scheme, func(b *testing.B) {
 			var res *Fig6Result
 			for i := 0; i < b.N; i++ {
@@ -170,7 +169,6 @@ func BenchmarkSec54HardwareCost(b *testing.B) {
 // (21.7% lifetime improvement in the paper).
 func BenchmarkAblationPairing(b *testing.B) {
 	for _, scheme := range []string{"TWL_swp", "TWL_ap", "TWL_rand"} {
-		scheme := scheme
 		b.Run(scheme, func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
@@ -197,7 +195,6 @@ func BenchmarkAblationInterPairSwap(b *testing.B) {
 		name     string
 		interval int
 	}{{"on-128", 128}, {"off", 0}} {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
@@ -237,7 +234,6 @@ func BenchmarkAblationRNG(b *testing.B) {
 		name    string
 		feistel bool
 	}{{"feistel", true}, {"xorshift", false}} {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
@@ -275,7 +271,6 @@ func BenchmarkAblationETNoise(b *testing.B) {
 		name  string
 		sigma float64
 	}{{"exact", 0}, {"noise-10pct", 0.10}, {"noise-50pct", 0.50}} {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,12 @@
 // Command attacksim regenerates the attack experiments of the paper:
 //
-//	attacksim -fig6    lifetime under the four attack modes (Figure 6)
-//	attacksim -fig7    toss-up interval sweep (Figure 7 a & b)
-//	attacksim -retire  lifetime beyond first failure with a spare pool
+//	attacksim -fig6         lifetime under the four attack modes (Figure 6)
+//	attacksim -fig7         toss-up interval sweep (Figure 7 a & b)
+//	attacksim -retire       lifetime beyond first failure with a spare pool
+//	attacksim -replicate N  Figure 6 inconsistent-attack cells over N seeds
+//
+// Only the selected experiments run; with none selected, -fig6 and -fig7
+// do.
 //
 // The -retire experiment attaches the page-retirement decorator and runs
 // each scheme past its first failure until the spare pool exhausts,
@@ -52,7 +56,7 @@ func main() {
 		cliutil.Fraction("-spare-frac", *spareFrac, true),
 		cliutil.Fraction("-retire-threshold", *retireThr, true),
 	))
-	if !*fig6 && !*fig7 && !*retire {
+	if !*fig6 && !*fig7 && !*retire && *replicate == 0 {
 		*fig6 = true
 		*fig7 = true
 	}

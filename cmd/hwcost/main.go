@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"twl"
+	"twl/internal/cliutil"
 	"twl/internal/hwcost"
 	"twl/internal/report"
 )
@@ -19,6 +20,25 @@ func main() {
 		pageSize = flag.Int("pagesize", 4096, "page size in bytes")
 	)
 	flag.Parse()
+	cliutil.Check("hwcost", cliutil.FirstError(
+		cliutil.NoArgs(flag.Args()),
+		cliutil.NonNegativeInt("-pages", *pages),
+		cliutil.PositiveInt("-pagesize", *pageSize),
+	))
+
+	// The alternative system is costed before anything prints, so a
+	// failure leaves stdout empty.
+	var alt hwcost.StorageCost
+	if *pages > 0 {
+		cfg := hwcost.DefaultStorageConfig()
+		cfg.Pages = *pages
+		cfg.PageSize = *pageSize
+		var err error
+		if alt, err = hwcost.Storage(cfg); err != nil {
+			fmt.Fprintln(os.Stderr, err) // hwcost's errors carry the tool's name
+			os.Exit(1)
+		}
+	}
 
 	hc := twl.HardwareCost()
 	tb := report.NewTable("Section 5.4 — TWL design overhead (32 GB system)", "item", "cost")
@@ -31,22 +51,13 @@ func main() {
 	tb.AddRowf("RNG (8-bit Feistel)", fmt.Sprintf("<=%d gates", hc.Logic.RNGGates))
 	tb.AddRowf("divider + comparators", fmt.Sprintf("%d gates", hc.Logic.ArithmeticGates))
 	tb.AddRowf("total logic", fmt.Sprintf("%d gates", hc.Logic.TotalGates))
-	fatal(tb.Render(os.Stdout))
-
-	if *pages > 0 {
-		cfg := hwcost.DefaultStorageConfig()
-		cfg.Pages = *pages
-		cfg.PageSize = *pageSize
-		s, err := hwcost.Storage(cfg)
-		fatal(err)
-		fmt.Printf("\nAlternative system (%d pages x %d B): %d bits/page, ratio %.3g\n",
-			*pages, *pageSize, s.TotalBits(), s.Ratio(*pageSize))
-	}
-}
-
-func fatal(err error) {
-	if err != nil {
+	if err := tb.Render(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hwcost:", err)
 		os.Exit(1)
+	}
+
+	if *pages > 0 {
+		fmt.Printf("\nAlternative system (%d pages x %d B): %d bits/page, ratio %.3g\n",
+			*pages, *pageSize, alt.TotalBits(), alt.Ratio(*pageSize))
 	}
 }

@@ -4,16 +4,13 @@
 // twl/internal/lint for the full list of contracts and DESIGN.md "Static
 // contracts" for their rationale. Usage:
 //
-//	go run ./cmd/twlint [-json] [-allow twlint.allow] [-allow-lax]
-//	    [-budget twlint.budget] [-update-budget] ./...
+//	go run ./cmd/twlint [-json] [-budget twlint.budget] [-update-budget] ./...
 //
-// Exit status 1 when findings remain after allowlist filtering, 2 on driver
-// errors. By default a run is strict about its allowlist: entries that
-// matched nothing in a loaded package are themselves reported (analyzer
-// "allowlist"); -allow-lax disables that for partial runs. -budget enables
-// the hotpath allocation-budget phase (escape-analysis diff against the
-// committed budget file); -update-budget regenerates the file instead of
-// diffing.
+// Exit status 1 when any finding remains, 2 on driver errors. No finding
+// can be silenced: clearing one means changing the code or the analyzer.
+// -budget enables the hotpath allocation-budget phase (escape-analysis diff
+// against the committed budget file); -update-budget regenerates the file
+// instead of diffing.
 package main
 
 import (
@@ -27,8 +24,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (CI mode)")
-	allowPath := flag.String("allow", "twlint.allow", "allowlist file; empty disables")
-	allowLax := flag.Bool("allow-lax", false, "do not report stale allowlist entries (for partial runs)")
 	budgetPath := flag.String("budget", "", "hotpath allocation-budget file; empty skips the budget phase")
 	updateBudget := flag.Bool("update-budget", false, "rewrite the -budget file from the observed escape analysis")
 	flag.Parse()
@@ -40,19 +35,7 @@ func main() {
 		*budgetPath = "twlint.budget"
 	}
 
-	var allow *lint.Allowlist
-	if *allowPath != "" {
-		var err error
-		allow, err = lint.ParseAllowlist(*allowPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "twlint: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	diags, err := lint.Run(patterns, lint.Options{
-		Allow:        allow,
-		AllowLax:     *allowLax,
 		BudgetPath:   *budgetPath,
 		UpdateBudget: *updateBudget,
 	})

@@ -62,6 +62,7 @@ func main() {
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
 		cliutil.NonNegativeFloat("-endurance", *endurance),
+		cliutil.PositiveFloat("-bw", *bandwidth),
 		cliutil.Exclusive("-attack", *attackMode != "", "-bench", *bench != ""),
 		cliutil.Requires("-resume", *resume, "-checkpoint", *ckptFile != ""),
 		cliutil.Fraction("-spare-frac", *spareFrac, true),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -24,18 +25,42 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// run runs the command line with args and returns its stdout, its stderr
+// and its exit status.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exitErr *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exitErr) {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
 // twlsim runs the command line with args and returns its stdout, failing
 // the test on a non-zero exit.
 func twlsim(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), mainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("twlsim %s: %v\nstderr: %s", strings.Join(args, " "), err, stderr.String())
+	out, stderr, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("twlsim %s: exit %d\nstderr: %s", strings.Join(args, " "), code, stderr)
 	}
-	return stdout.String()
+	return out
+}
+
+// TestNonPositiveBandwidthRejected: -bw converts writes to years, so zero
+// would report +Inf years and a negative value negative ones. Both are
+// usage errors, rejected before any output.
+func TestNonPositiveBandwidthRejected(t *testing.T) {
+	for _, bw := range []string{"0", "-8e9"} {
+		out, stderr, code := run(t, "-attack", "repeat", "-bw", bw, "-pages", "512", "-endurance", "5000")
+		if code != 2 || out != "" {
+			t.Errorf("-bw %s: exit %d, stdout %q; want exit 2 and no output (stderr %q)", bw, code, out, stderr)
+		}
+	}
 }
 
 var normalizedRow = regexp.MustCompile(`(?m)^normalized lifetime\s+(\S+)`)

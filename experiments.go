@@ -242,7 +242,6 @@ func RunFig6(sys SystemConfig, cfg Fig6Config) (*Fig6Result, error) {
 	for i, name := range cfg.Schemes {
 		grid[i] = make([]Fig6Cell, len(cfg.Modes))
 		for j, mode := range cfg.Modes {
-			i, j, name, mode := i, j, name, mode
 			tasks = append(tasks, cellTask{name: fmt.Sprintf("fig6/%s/%v", name, mode), run: func() error {
 				res, err := RunAttackCell(sys, name, mode, LifetimeConfig{})
 				if err != nil {
@@ -457,7 +456,6 @@ func RunFig8(sys SystemConfig, cfg Fig8Config) (*Fig8Result, error) {
 		}
 		grid[i] = make([]float64, len(cfg.Schemes))
 		for j, name := range cfg.Schemes {
-			i, j, bn, name := i, j, bn, name
 			tasks = append(tasks, cellTask{name: fmt.Sprintf("fig8/%s/%s", bn, name), run: func() error {
 				res, err := RunBenchCell(sys, name, bn, LifetimeConfig{})
 				if err != nil {
@@ -548,7 +546,7 @@ func RunFig9(sys SystemConfig, cfg Fig9Config) (*Fig9Result, error) {
 	perfSys := sys
 	perfSys.MeanEndurance = math.Max(sys.MeanEndurance, 100*float64(cfg.Requests)/float64(sys.Pages))
 
-	perfCfg := sim.PerfConfig{Requests: cfg.Requests, MaxBandwidthMBps: 3309, Metrics: cfg.Metrics}
+	perfCfg := sim.PerfConfig{Requests: cfg.Requests, Metrics: cfg.Metrics}
 	out := &Fig9Result{Mean: map[string]float64{}}
 	sums := map[string]float64{}
 	for _, bn := range benchNames {
@@ -558,7 +556,6 @@ func RunFig9(sys SystemConfig, cfg Fig9Config) (*Fig9Result, error) {
 		}
 		row := Fig9Row{Benchmark: bn, Normalized: map[string]float64{}}
 		for _, name := range cfg.Schemes {
-			name := name
 			build := func() (wl.Scheme, error) {
 				dev, err := perfSys.NewDevice()
 				if err != nil {

@@ -19,7 +19,6 @@ import (
 func TestIntegrationParanoidLifetimes(t *testing.T) {
 	sys := SmallSystem(77)
 	for _, name := range SchemeNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			dev, err := sys.NewDevice()
 			if err != nil {
@@ -64,7 +63,6 @@ func TestIntegrationDataIntegrityAllSchemes(t *testing.T) {
 	sys := SmallSystem(88)
 	sys.MeanEndurance = 1e9 // integrity, not wear-out, is under test
 	for _, name := range SchemeNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			dev, err := sys.NewDevice()
 			if err != nil {

@@ -132,7 +132,6 @@ func TestConcurrentAccess(t *testing.T) {
 	const keys = 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

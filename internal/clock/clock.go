@@ -3,7 +3,7 @@
 // Simulations must be bit-reproducible, so the determinism analyzer
 // (twlint) forbids calling time.Now and time.Since everywhere in the
 // simulation packages; this package stores time.Now as a function value
-// instead of calling it, so it needs no allowlist exception. Anything that
+// instead of calling it, so the analyzer never fires on it. Anything that
 // legitimately needs wall time — worker utilization in the experiment
 // grids, benchmark harnesses, replication timing — reads it through Now and
 // Since, which also makes those durations injectable in tests: swap the

@@ -9,7 +9,7 @@ import (
 
 // concurrencyAnalyzer enforces the goroutine and lock discipline the
 // array-scale roadmap items (sharded simulation service, full-size device
-// geometry) depend on. Three rules:
+// geometry) depend on. Two rules:
 //
 //  1. Join discipline: every `go` statement must have a reachable join —
 //     a sync.WaitGroup the goroutine Done()s and the spawn site (or the
@@ -18,11 +18,7 @@ import (
 //     goroutine with neither outlives the computation that spawned it:
 //     a leaked worker keeps mutating simulation state after the grid
 //     believes the cell is finished.
-//  2. Loop-variable capture: a `go` closure must not capture the variable
-//     of an enclosing for/range loop — the work item must be passed as an
-//     argument, so each goroutine's binding is explicit at the spawn site
-//     rather than implied by Go's per-iteration capture semantics.
-//  3. Guarded fields: a struct field or package-level var annotated
+//  2. Guarded fields: a struct field or package-level var annotated
 //     `//twl:guardedby <mutex>` may only be touched in a critical section
 //     of the named sibling mutex — the enclosing function must Lock (or
 //     RLock) that mutex before the access, or carry a `//twl:locked
@@ -35,12 +31,12 @@ import (
 // files.
 var concurrencyAnalyzer = &Analyzer{
 	Name: "concurrency",
-	Doc:  "goroutines must join, go-closures must not capture loop variables, and //twl:guardedby fields stay inside their critical sections",
+	Doc:  "goroutines must join, and //twl:guardedby fields stay inside their critical sections",
 }
 
 func init() { concurrencyAnalyzer.Run = runConcurrency }
 
-func runConcurrency(p *Package, w *World) []Diagnostic {
+func runConcurrency(p *Package, _ *World) []Diagnostic {
 	guards := collectGuards(p)
 	var diags []Diagnostic
 	for _, f := range p.Files {
@@ -52,7 +48,7 @@ func runConcurrency(p *Package, w *World) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			diags = walkFuncBody(diags, p, w, guards, fd, fd.Body, nil)
+			diags = walkFuncBody(diags, p, guards, fd, fd.Body)
 		}
 	}
 	return diags
@@ -190,53 +186,33 @@ func resolveSiblingField(p *Package, st *ast.StructType, name string) types.Obje
 	return nil
 }
 
-// walkFuncBody applies all three rules to one function body. Nested
-// function literals recurse with their own body as the enclosing scope —
-// a closure that touches guarded state must lock for itself (it may run on
-// another goroutine), and a go statement inside a closure is joined or not
-// relative to that closure. loops carries the variables of the for/range
-// statements enclosing the current position within this function.
-func walkFuncBody(diags []Diagnostic, p *Package, w *World, guards *guardSet, fn ast.Node, body *ast.BlockStmt, loops []types.Object) []Diagnostic {
+// walkFuncBody applies both rules to one function body. Nested function
+// literals recurse with their own body as the enclosing scope — a closure
+// that touches guarded state must lock for itself (it may run on another
+// goroutine), and a go statement inside a closure is joined or not relative
+// to that closure.
+func walkFuncBody(diags []Diagnostic, p *Package, guards *guardSet, fn ast.Node, body *ast.BlockStmt) []Diagnostic {
 	locked := lockedNames(fn)
 	lockPositions := collectLockCalls(p, body)
 
-	var walk func(n ast.Node, loops []types.Object)
-	walk = func(n ast.Node, loops []types.Object) {
+	var walk func(n ast.Node)
+	walk = func(n ast.Node) {
 		switch n := n.(type) {
 		case nil:
 			return
 		case *ast.FuncLit:
-			diags = walkFuncBody(diags, p, w, guards, n, n.Body, nil)
+			diags = walkFuncBody(diags, p, guards, n, n.Body)
 			return
 		case *ast.GoStmt:
-			diags = checkGoStmt(diags, p, w, n, fn, body, loops)
-			// The spawned closure still gets rule 2/3 treatment as its own
+			diags = checkGoStmt(diags, p, n, fn, body)
+			// The spawned closure still gets rule 2 treatment as its own
 			// function scope; the call arguments evaluate in this one.
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				diags = walkFuncBody(diags, p, w, guards, lit, lit.Body, nil)
+				diags = walkFuncBody(diags, p, guards, lit, lit.Body)
 			}
 			for _, arg := range n.Call.Args {
-				walk(arg, loops)
+				walk(arg)
 			}
-			return
-		case *ast.ForStmt:
-			inner := append(append([]types.Object(nil), loops...), loopVars(p, n.Init)...)
-			walk(n.Init, loops)
-			walk(n.Cond, loops)
-			walk(n.Post, inner)
-			walk(n.Body, inner)
-			return
-		case *ast.RangeStmt:
-			inner := append([]types.Object(nil), loops...)
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok && id != nil {
-					if obj := p.Info.Defs[id]; obj != nil {
-						inner = append(inner, obj)
-					}
-				}
-			}
-			walk(n.X, loops)
-			walk(n.Body, inner)
 			return
 		case *ast.SelectorExpr:
 			if recv := atomicMethodReceiver(p, guards, n); recv != nil {
@@ -244,27 +220,27 @@ func walkFuncBody(diags []Diagnostic, p *Package, w *World, guards *guardSet, fn
 				// step past the guarded receiver itself, but keep
 				// checking whatever it is selected from.
 				if inner, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok {
-					walk(inner.X, loops)
+					walk(inner.X)
 				}
 				return
 			}
-			diags = checkGuardedAccess(diags, p, w, guards, n, locked, lockPositions)
-			walk(n.X, loops)
+			diags = checkGuardedAccess(diags, p, guards, n, locked, lockPositions)
+			walk(n.X)
 			return
 		case *ast.Ident:
-			diags = checkGuardedIdent(diags, p, w, guards, n, locked, lockPositions)
+			diags = checkGuardedIdent(diags, p, guards, n, locked, lockPositions)
 			return
 		}
 		ast.Inspect(n, func(m ast.Node) bool {
 			if m == n {
 				return true
 			}
-			walk(m, loops)
+			walk(m)
 			return false
 		})
 	}
 	for _, s := range body.List {
-		walk(s, loops)
+		walk(s)
 	}
 	return diags
 }
@@ -341,8 +317,8 @@ func collectLockCalls(p *Package, body *ast.BlockStmt) []lockEntry {
 	return locks
 }
 
-// checkGuardedAccess applies rule 3 to a field selection.
-func checkGuardedAccess(diags []Diagnostic, p *Package, w *World, guards *guardSet, sel *ast.SelectorExpr, locked map[string]bool, locks []lockEntry) []Diagnostic {
+// checkGuardedAccess applies rule 2 to a field selection.
+func checkGuardedAccess(diags []Diagnostic, p *Package, guards *guardSet, sel *ast.SelectorExpr, locked map[string]bool, locks []lockEntry) []Diagnostic {
 	s := p.Info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return diags
@@ -351,7 +327,7 @@ func checkGuardedAccess(diags []Diagnostic, p *Package, w *World, guards *guardS
 	if gi == nil {
 		return diags
 	}
-	return checkGuardUse(diags, p, w, gi, sel.Pos(), locked, locks)
+	return checkGuardUse(diags, p, gi, sel.Pos(), locked, locks)
 }
 
 // atomicMethodReceiver reports (by returning the receiver expression)
@@ -384,11 +360,11 @@ func atomicMethodReceiver(p *Package, guards *guardSet, sel *ast.SelectorExpr) a
 	return sel.X
 }
 
-// checkGuardedIdent applies rule 3 to a bare identifier use (package-level
+// checkGuardedIdent applies rule 2 to a bare identifier use (package-level
 // guarded vars). Sanctioned atomic uses never reach this check — the walker
 // intercepts them in atomicMethodReceiver — so an atomic-guarded identifier
 // seen here is by construction outside its atomic methods.
-func checkGuardedIdent(diags []Diagnostic, p *Package, w *World, guards *guardSet, id *ast.Ident, locked map[string]bool, locks []lockEntry) []Diagnostic {
+func checkGuardedIdent(diags []Diagnostic, p *Package, guards *guardSet, id *ast.Ident, locked map[string]bool, locks []lockEntry) []Diagnostic {
 	obj := p.Info.Uses[id]
 	if obj == nil {
 		return diags
@@ -404,7 +380,7 @@ func checkGuardedIdent(diags []Diagnostic, p *Package, w *World, guards *guardSe
 	if gi == nil {
 		return diags
 	}
-	return checkGuardUse(diags, p, w, gi, id.Pos(), locked, locks)
+	return checkGuardUse(diags, p, gi, id.Pos(), locked, locks)
 }
 
 // checkGuardUse validates one use of a guarded object at pos. Mutex-guarded
@@ -412,9 +388,9 @@ func checkGuardedIdent(diags []Diagnostic, p *Package, w *World, guards *guardSe
 // a //twl:locked declaration). Atomic-guarded objects are structural: every
 // sanctioned use is intercepted by atomicMethodReceiver before the walker
 // descends here, so reaching this function at all is the violation.
-func checkGuardUse(diags []Diagnostic, p *Package, w *World, gi *guardInfo, pos token.Pos, locked map[string]bool, locks []lockEntry) []Diagnostic {
+func checkGuardUse(diags []Diagnostic, p *Package, gi *guardInfo, pos token.Pos, locked map[string]bool, locks []lockEntry) []Diagnostic {
 	if gi.atomic {
-		return report(diags, p, w, concurrencyAnalyzer, pos,
+		return report(diags, p, concurrencyAnalyzer, pos,
 			"%s is annotated //twl:guardedby atomic but used outside its atomic methods (Load/Store/Swap/CompareAndSwap/Add); plain access tears",
 			gi.guarded.Name())
 	}
@@ -426,62 +402,19 @@ func checkGuardUse(diags []Diagnostic, p *Package, w *World, gi *guardInfo, pos 
 			return diags
 		}
 	}
-	return report(diags, p, w, concurrencyAnalyzer, pos,
+	return report(diags, p, concurrencyAnalyzer, pos,
 		"%s is annotated //twl:guardedby %s but accessed outside the critical section; lock %s first or mark the enclosing function //twl:locked %s",
 		gi.guarded.Name(), gi.name, gi.name, gi.name)
 }
 
-// loopVars extracts the variables declared by a for-init statement.
-func loopVars(p *Package, init ast.Stmt) []types.Object {
-	as, ok := init.(*ast.AssignStmt)
-	if !ok || as.Tok != token.DEFINE {
-		return nil
-	}
-	var objs []types.Object
-	for _, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			if obj := p.Info.Defs[id]; obj != nil {
-				objs = append(objs, obj)
-			}
-		}
-	}
-	return objs
-}
-
-// checkGoStmt applies rules 1 and 2 to one go statement. fn/body is the
-// enclosing function; loops are the loop variables in scope at the spawn
-// site.
-func checkGoStmt(diags []Diagnostic, p *Package, w *World, g *ast.GoStmt, fn ast.Node, body *ast.BlockStmt, loops []types.Object) []Diagnostic {
+// checkGoStmt applies rule 1 to one go statement; fn/body is the enclosing
+// function.
+func checkGoStmt(diags []Diagnostic, p *Package, g *ast.GoStmt, fn ast.Node, body *ast.BlockStmt) []Diagnostic {
 	lit, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-
-	// Rule 2: loop-variable capture by the spawned closure.
-	if isLit && len(loops) > 0 {
-		inLoops := map[types.Object]bool{}
-		for _, o := range loops {
-			inLoops[o] = true
-		}
-		reported := map[types.Object]bool{}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := p.Info.Uses[id]
-			if obj == nil || !inLoops[obj] || reported[obj] {
-				return true
-			}
-			reported[obj] = true
-			diags = report(diags, p, w, concurrencyAnalyzer, id.Pos(),
-				"go closure captures loop variable %s; pass it as an argument so each goroutine's work item is explicit at the spawn site", obj.Name())
-			return true
-		})
-	}
-
-	// Rule 1: reachable join.
 	if joinedGoroutine(p, g, lit, isLit, fn, body) {
 		return diags
 	}
-	return report(diags, p, w, concurrencyAnalyzer, g.Pos(),
+	return report(diags, p, concurrencyAnalyzer, g.Pos(),
 		"goroutine launched without a reachable join (WaitGroup Done/Wait or a done channel); a leaked goroutine outlives the computation that spawned it")
 }
 

@@ -22,7 +22,7 @@ var costAnalyzer = &Analyzer{
 
 func init() { costAnalyzer.Run = runCost }
 
-func runCost(p *Package, w *World) []Diagnostic {
+func runCost(p *Package, _ *World) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		if testSupport(f) {
@@ -44,7 +44,7 @@ func runCost(p *Package, w *World) []Diagnostic {
 				return true
 			}
 			for _, kind := range discarded(p, call) {
-				diags = report(diags, p, w, costAnalyzer, call.Pos(),
+				diags = report(diags, p, costAnalyzer, call.Pos(),
 					"call discards its %s result; consume it or assign to _ explicitly", kind)
 			}
 			return true

@@ -18,8 +18,8 @@ import (
 // decorator state, paranoid mode that never sees the decorator's
 // invariants). Likewise a decorator that declares Read must declare ReadN,
 // or bulk reads bypass it. One diagnostic per undeclared method; a
-// decorator that genuinely wants pass-through for one path states so in
-// twlint.allow.
+// decorator that wants pass-through for one path declares the method and
+// forwards it to the embedded scheme, so the choice is visible in code.
 var decoratorAnalyzer = &Analyzer{
 	Name: "decorator",
 	Doc:  "a type embedding wl.Scheme that overrides Write must declare every check, snapshot and bulk-write method, and ReadN beside Read",
@@ -81,12 +81,12 @@ func runDecorator(p *Package, w *World) []Diagnostic {
 				name := named.Obj().Name()
 				for _, m := range required {
 					if !declared[m] {
-						diags = report(diags, p, w, decoratorAnalyzer, obj.Pos(),
+						diags = report(diags, p, decoratorAnalyzer, obj.Pos(),
 							"decorator %s embeds wl.Scheme and overrides Write but does not declare %s; the embedded scheme's method serves that path without the decorator's interception", name, m)
 					}
 				}
 				if declared["Read"] && !declared["ReadN"] {
-					diags = report(diags, p, w, decoratorAnalyzer, obj.Pos(),
+					diags = report(diags, p, decoratorAnalyzer, obj.Pos(),
 						"decorator %s overrides Read but does not declare ReadN; the embedded scheme's ReadN serves bulk reads without the decorator's interception", name)
 				}
 			}

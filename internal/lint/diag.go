@@ -90,8 +90,9 @@ func (k posKey) less(o posKey) bool {
 
 // sortDiags orders findings by (package, position, analyzer, message) — the
 // stable order the CLI, the JSON mode and the golden fixtures all rely on.
-// The driver analyzes packages concurrently, so findings arrive interleaved;
-// this sort is what makes `twlint -json` output reproducible across runs.
+// Findings arrive package by package and analyzer by analyzer, the budget
+// phase's last; this sort is what makes `twlint -json` output
+// position-ordered.
 func sortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].Package != ds[j].Package {

@@ -1,13 +1,15 @@
 // Package lint is the project's static-analysis framework: a driver that
 // loads and type-checks packages once (shared FileSet, shared source
-// importer), fans the analysis phase out across worker goroutines — one
-// package at a time per worker — and merges the findings into a stable
-// (package, position) order. cmd/twlint is a thin CLI over this package;
-// the analyzers and their golden-fixture tests live here so other tools can
-// reuse the same contracts.
+// importer), runs every analyzer over each package in one sequential pass,
+// and sorts the findings into a stable (package, position) order.
+// cmd/twlint is a thin CLI over this package; the analyzers and their
+// golden-fixture tests live here so other tools can reuse the same
+// contracts.
 //
 // The suite machine-checks the contracts the simulator's correctness claims
-// rest on but the compiler cannot see (DESIGN.md "Static contracts"):
+// rest on but neither the compiler nor go vet can see (DESIGN.md "Static
+// contracts"). There is no exception file: a finding is cleared by changing
+// the code or the analyzer.
 //
 //   - determinism: simulation packages must not read wall clocks
 //     (time.Now/time.Since outside internal/clock), draw from the global
@@ -17,9 +19,9 @@
 //   - cost: call sites must not silently discard a returned wl.Cost or
 //     error in non-test code; dropped costs corrupt Figure 9, dropped
 //     errors hide failures.
-//   - locks: structs carrying sync or sync/atomic state must not be copied
-//     by value, and a field accessed through sync/atomic must not also be
-//     accessed as a plain variable.
+//   - locks: no sync/atomic package-level function calls and no
+//     atomic.Value — shared state lives in the typed atomics, whose
+//     by-value copies go vet's copylocks already reports.
 //   - snapshot: every field of a type declaring a Snapshot(io.Writer) error
 //     method must be written by Snapshot (checkpointed) or carry a snap:
 //     comment explaining its exemption — unpersisted mutable state breaks
@@ -30,9 +32,9 @@
 //     Read — otherwise the embedded scheme's promoted methods serve those
 //     paths without the decorator's interception.
 //   - concurrency: goroutines must have a reachable join (WaitGroup,
-//     done-channel), go-closures must not capture their loop variable, and
-//     fields annotated //twl:guardedby must only be touched inside the
-//     named lock's critical section (or via the declared atomic methods).
+//     done-channel), and fields annotated //twl:guardedby must only be
+//     touched inside the named lock's critical section (or via the declared
+//     atomic methods).
 //   - hotpath: functions annotated //twl:hotpath have their escape-analysis
 //     output (go build -gcflags=-m) diffed against the committed
 //     twlint.budget file — a new heap allocation in a hot path is a lint
@@ -45,15 +47,11 @@ package lint
 import (
 	"fmt"
 	"go/types"
-	"runtime"
-	"sync"
 )
 
 // Analyzer is one static-analysis pass. Run sees a single package plus the
 // world (cross-package context) and returns its findings; the driver handles
-// allowlist filtering, sorting and output. Run must be safe for concurrent
-// invocation on distinct packages — the driver analyzes packages in
-// parallel, and any analyzer-local mutable state must live inside Run.
+// sorting and output.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -75,13 +73,8 @@ var Analyzers = []*Analyzer{
 }
 
 // World is the cross-package context shared by all analyzers over one run:
-// every loaded package (the registry analyzer reasons about the whole
-// module) and the wl contract types resolved once. It is read-only during
-// the parallel analysis phase, except for the allowlist's internally
-// synchronized used-entry tracking.
+// the wl contract types, resolved once.
 type World struct {
-	Pkgs  []*Package
-	Allow *Allowlist
 	// wl is the wl package as seen by importers. Packages other than wl
 	// itself resolve wl types through the shared importer, so identity
 	// comparisons against these hold.
@@ -104,22 +97,16 @@ const wlPath = "twl/internal/wl"
 // NewWorld resolves the cross-package context: the imported view of the wl
 // contract package. Fixture runs that never touch wl-dependent analyzers
 // still resolve it — the module always contains it.
-func NewWorld(l *Loader, pkgs []*Package, allow *Allowlist) (*World, error) {
+func NewWorld(l *Loader) (*World, error) {
 	wlPkg, err := l.imp.Import(wlPath)
 	if err != nil {
 		return nil, fmt.Errorf("importing %s: %v", wlPath, err)
 	}
-	return &World{Pkgs: pkgs, Allow: allow, wl: wlPkg}, nil
+	return &World{wl: wlPkg}, nil
 }
 
 // Options configures a Run.
 type Options struct {
-	// Allow is the parsed allowlist; nil grants no exceptions.
-	Allow *Allowlist
-	// AllowLax disables stale-allowlist reporting (strict is the default):
-	// a run over a subset of the module cannot judge whether an entry for
-	// an unloaded package is dead.
-	AllowLax bool
 	// BudgetPath names the committed hotpath allocation-budget file; empty
 	// skips the budget phase entirely.
 	BudgetPath string
@@ -129,20 +116,25 @@ type Options struct {
 }
 
 // Run loads the packages matching patterns and applies the full suite —
-// the AST analyzers in parallel across packages, then the hotpath
-// allocation-budget phase if configured — returning the allowlist-filtered
-// findings in stable (package, position) order.
+// every AST analyzer to each package in turn, then the hotpath
+// allocation-budget phase if configured — returning the findings in stable
+// (package, position) order.
 func Run(patterns []string, opts Options) ([]Diagnostic, error) {
 	l := NewLoader()
 	pkgs, err := l.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
-	w, err := NewWorld(l, pkgs, opts.Allow)
+	w, err := NewWorld(l)
 	if err != nil {
 		return nil, err
 	}
-	diags := RunAnalyzers(pkgs, w)
+	var diags []Diagnostic
+	for _, p := range pkgs {
+		for _, a := range Analyzers {
+			diags = append(diags, a.Run(p, w)...)
+		}
+	}
 	if opts.BudgetPath != "" {
 		bd, err := CheckBudget(pkgs, opts.BudgetPath, opts.UpdateBudget)
 		if err != nil {
@@ -150,73 +142,6 @@ func Run(patterns []string, opts Options) ([]Diagnostic, error) {
 		}
 		diags = append(diags, bd...)
 	}
-	if !opts.AllowLax {
-		loaded := make(map[string]bool, len(pkgs))
-		for _, p := range pkgs {
-			loaded[p.Path] = true
-		}
-		diags = append(diags, opts.Allow.Unused(loaded)...)
-	}
 	sortDiags(diags)
 	return diags, nil
-}
-
-// RunAnalyzers applies the AST/type-based suite to already-loaded packages,
-// analyzing up to GOMAXPROCS packages concurrently. Findings land in a
-// per-package slot indexed before the goroutines start, so the merged
-// result is independent of scheduling; sortDiags then fixes the final
-// order.
-func RunAnalyzers(pkgs []*Package, w *World) []Diagnostic {
-	perPkg := make([][]Diagnostic, len(pkgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers <= 1 {
-		for i, p := range pkgs {
-			perPkg[i] = analyzePackage(p, w)
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next int
-		)
-		grab := func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			i := next
-			next++
-			return i
-		}
-		for n := 0; n < workers; n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := grab()
-					if i >= len(pkgs) {
-						return
-					}
-					perPkg[i] = analyzePackage(pkgs[i], w)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	var diags []Diagnostic
-	for _, ds := range perPkg {
-		diags = append(diags, ds...)
-	}
-	sortDiags(diags)
-	return diags
-}
-
-// analyzePackage applies every analyzer to one package.
-func analyzePackage(p *Package, w *World) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range Analyzers {
-		diags = append(diags, a.Run(p, w)...)
-	}
-	return diags
 }

@@ -29,13 +29,13 @@ var fixtures = []struct {
 
 // loadFixture type-checks one fixture package and builds the analysis world
 // around it.
-func loadFixture(t *testing.T, l *Loader, dir, path string, allow *Allowlist) (*Package, *World) {
+func loadFixture(t *testing.T, l *Loader, dir, path string) (*Package, *World) {
 	t.Helper()
 	p, err := l.LoadDir(filepath.Join("testdata", "src", dir), path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(l, []*Package{p}, allow)
+	w, err := NewWorld(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAnalyzersMatchGolden(t *testing.T) {
 	l := NewLoader()
 	for _, fx := range fixtures {
 		t.Run(fx.analyzer.Name, func(t *testing.T) {
-			p, w := loadFixture(t, l, fx.dir, fx.path, nil)
+			p, w := loadFixture(t, l, fx.dir, fx.path)
 			checkGolden(t, filepath.Join("testdata", fx.dir+".golden"), render(fx.analyzer.Run(p, w)))
 		})
 	}
@@ -92,7 +92,7 @@ func TestAnalyzersMatchGolden(t *testing.T) {
 // must diff clean.
 func TestBudgetFixture(t *testing.T) {
 	l := NewLoader()
-	p, _ := loadFixture(t, l, "fixhot", "twl/internal/fixhot", nil)
+	p, _ := loadFixture(t, l, "fixhot", "twl/internal/fixhot")
 	pkgs := []*Package{p}
 
 	diags, err := CheckBudget(pkgs, filepath.Join("testdata", "fixhot.budget"), false)
@@ -115,87 +115,10 @@ func TestBudgetFixture(t *testing.T) {
 	}
 }
 
-func writeAllow(t *testing.T, content string) *Allowlist {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "allow")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ParseAllowlist(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// TestAllowlistScoping: a package-wide entry silences every finding; a
-// declaration-scoped entry silences only the findings inside it.
-func TestAllowlistScoping(t *testing.T) {
-	l := NewLoader()
-	p, w := loadFixture(t, l, "fixdet", "twl/internal/fixdet", nil)
-	all := determinismAnalyzer.Run(p, w)
-	if len(all) == 0 {
-		t.Fatal("fixture produced no findings to filter")
-	}
-
-	w.Allow = writeAllow(t, "# everything sanctioned\ndeterminism twl/internal/fixdet\n")
-	if got := determinismAnalyzer.Run(p, w); len(got) != 0 {
-		t.Fatalf("package-wide allow left %d findings: %v", len(got), got)
-	}
-
-	w.Allow = writeAllow(t, "determinism twl/internal/fixdet Clocks\n")
-	got := determinismAnalyzer.Run(p, w)
-	if len(got) != len(all)-2 {
-		t.Fatalf("decl-scoped allow: got %d findings, want %d (the two Clocks findings removed)", len(got), len(all)-2)
-	}
-	for _, d := range got {
-		if strings.Contains(d.Message, "wall-clock") {
-			t.Fatalf("Clocks finding survived the decl-scoped allow: %v", d)
-		}
-	}
-}
-
-// TestStaleAllowlist: an entry that never matched a finding is reported —
-// but only when its package was actually loaded, so partial runs cannot
-// false-fire.
-func TestStaleAllowlist(t *testing.T) {
-	l := NewLoader()
-	p, w := loadFixture(t, l, "fixdet", "twl/internal/fixdet", nil)
-	w.Allow = writeAllow(t,
-		"determinism twl/internal/fixdet Clocks\n"+ // will match
-			"cost twl/internal/fixdet\n"+ // loaded package, no cost finding: stale
-			"determinism twl/internal/unloaded\n") // package not loaded: unjudgeable
-	_ = determinismAnalyzer.Run(p, w)
-
-	stale := w.Allow.Unused(map[string]bool{p.Path: true})
-	if len(stale) != 1 {
-		t.Fatalf("want exactly the loaded-package stale entry, got %v", stale)
-	}
-	if !strings.Contains(stale[0].Message, `"cost twl/internal/fixdet"`) {
-		t.Errorf("stale diagnostic names the wrong entry: %v", stale[0])
-	}
-	if stale[0].Analyzer != "allowlist" {
-		t.Errorf("stale diagnostic analyzer = %q, want allowlist", stale[0].Analyzer)
-	}
-}
-
-func TestParseAllowlistRejectsMalformed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "allow")
-	if err := os.WriteFile(path, []byte("toomany fields in this line here\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseAllowlist(path); err == nil {
-		t.Fatal("malformed allowlist accepted")
-	}
-	if _, err := ParseAllowlist(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing allowlist file accepted")
-	}
-}
-
 // TestSortDiagsNumeric pins the (package, position) output order `twlint
 // -json` relies on: positions compare by numeric line/column, not string
-// order, and package groups stay contiguous however the parallel analysis
-// interleaved them.
+// order, and package groups stay contiguous whatever order the analyzers
+// reported in.
 func TestSortDiagsNumeric(t *testing.T) {
 	ds := []Diagnostic{
 		{Analyzer: "a", Package: "pkg/b", Pos: "x.go:9:2", Message: "m"},
@@ -225,17 +148,12 @@ func TestSortDiagsNumeric(t *testing.T) {
 
 // TestCleanTree is the self-test the Makefile's lint target relies on: the
 // repository's own packages produce zero findings under the checked-in
-// allowlist and allocation budget, in strict (stale-entry-reporting) mode.
+// allocation budget.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads, type-checks and escape-analyzes the whole module")
 	}
-	allow, err := ParseAllowlist(filepath.Join("..", "..", "twlint.allow"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	diags, err := Run([]string{"twl/..."}, Options{
-		Allow:      allow,
 		BudgetPath: filepath.Join("..", "..", "twlint.budget"),
 	})
 	if err != nil {

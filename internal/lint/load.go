@@ -45,9 +45,8 @@ func testSupport(file *ast.File) bool {
 // Loader parses and type-checks packages. All packages share one FileSet and
 // one source importer, so identical imports resolve to identical type
 // objects (the importer caches) and cross-package type comparisons work.
-// Loading is sequential — the shared importer is not safe for concurrent
-// use — while the analysis phase over the loaded packages runs in parallel
-// (see Run).
+// Loading is sequential: the shared importer is not safe for concurrent
+// use.
 type Loader struct {
 	fset *token.FileSet
 	imp  types.Importer

@@ -1,251 +1,48 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// locksAnalyzer extends go vet's copylocks to the concurrency state this
-// codebase actually uses. vet only recognizes sync.Locker values; the obs
-// registry types carry their hot state in sync/atomic integers
-// (obs.Counter, obs.Gauge, obs.Histogram), which copy silently and then
-// split into two diverging counters. Rules:
+// locksAnalyzer keeps shared state on the typed atomics (atomic.Int64,
+// Uint64, Bool, Pointer), which the go toolchain already guards: each
+// carries a noCopy marker, so go vet's copylocks reports every by-value
+// copy, and none can be read or written as a plain variable, so a field
+// never mixes atomic and plain access. Two forms escape both guarantees,
+// and this analyzer forbids them:
 //
-//  1. No by-value copies of structs (transitively) containing sync or
-//     sync/atomic state: value receivers, value parameters, assignments
-//     from existing values, range value variables, and call arguments.
-//     Constructing fresh values (composite literals, new, constructor
-//     calls) is fine — only copying a live value is flagged.
-//  2. No mixed access: a field used as &f with the sync/atomic package
-//     functions must not also be read or written as a plain variable in
-//     the same package — the plain access tears under the race detector
-//     and on weakly ordered hardware.
+//   - calls to the sync/atomic package-level functions
+//     (atomic.AddInt64(&s.n, 1)): the field they address is a plain
+//     integer that other code may read, write or copy without the atomic
+//     path;
+//   - atomic.Value, the one sync/atomic type copylocks does not know.
 var locksAnalyzer = &Analyzer{
 	Name: "locks",
-	Doc:  "forbids by-value copies of sync/atomic-bearing structs and mixed atomic/plain field access",
+	Doc:  "forbids the sync/atomic package-level functions and atomic.Value; shared state uses the typed atomics",
 }
 
 func init() { locksAnalyzer.Run = runLocks }
 
-func runLocks(p *Package, w *World) []Diagnostic {
-	lc := &lockChecker{cache: map[types.Type]string{}}
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		if testSupport(f) {
-			continue
-		}
-		diags = append(diags, lc.copies(p, w, f)...)
-	}
-	diags = append(diags, mixedAtomic(p, w)...)
-	return diags
-}
-
-// lockChecker memoizes which types transitively hold sync/atomic state.
-type lockChecker struct {
-	cache map[types.Type]string
-}
-
-// lockPath returns a human-readable path to the first sync/atomic component
-// of t ("sync.Mutex", "field n: atomic.Uint64"), or "" when t is free of
-// them. Slices, maps, pointers and channels break the chain: copying a
-// header shares the underlying state instead of splitting it.
-func (lc *lockChecker) lockPath(t types.Type) string {
-	if s, ok := lc.cache[t]; ok {
-		return s
-	}
-	lc.cache[t] = "" // cycle guard: recursive types get "" while in progress
-	res := ""
-	switch u := t.(type) {
-	case *types.Named:
-		if path := syncStateName(u); path != "" {
-			res = path
-		} else {
-			res = lc.lockPath(u.Underlying())
-		}
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if inner := lc.lockPath(f.Type()); inner != "" {
-				res = fmt.Sprintf("field %s: %s", f.Name(), inner)
-				break
-			}
-		}
-	case *types.Array:
-		if inner := lc.lockPath(u.Elem()); inner != "" {
-			res = "array element: " + inner
-		}
-	}
-	lc.cache[t] = res
-	return res
-}
-
-// syncStateName matches the sync and sync/atomic types whose value identity
-// matters.
-func syncStateName(named *types.Named) string {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	switch obj.Pkg().Path() {
-	case "sync":
-		switch obj.Name() {
-		case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-			return "sync." + obj.Name()
-		}
-	case "sync/atomic":
-		return "atomic." + obj.Name()
-	}
-	return ""
-}
-
-// copying reports whether e reads an existing value (as opposed to
-// constructing a fresh one), so assigning or passing it duplicates state.
-func copying(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-// copies walks one file for rule 1.
-func (lc *lockChecker) copies(p *Package, w *World, f *ast.File) []Diagnostic {
-	var diags []Diagnostic
-	flagValue := func(pos interface{ Pos() token.Pos }, what string, t types.Type) {
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return
-		}
-		if path := lc.lockPath(t); path != "" {
-			diags = report(diags, p, w, locksAnalyzer, pos.Pos(),
-				"%s copies %s by value (%s); use a pointer", what, t, path)
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				for _, field := range n.Recv.List {
-					flagValue(field, "receiver", p.Info.TypeOf(field.Type))
-				}
-			}
-			for _, field := range n.Type.Params.List {
-				flagValue(field, "parameter", p.Info.TypeOf(field.Type))
-			}
-		case *ast.FuncLit:
-			for _, field := range n.Type.Params.List {
-				flagValue(field, "parameter", p.Info.TypeOf(field.Type))
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for _, rhs := range n.Rhs {
-					if copying(rhs) {
-						flagValue(rhs, "assignment", p.Info.TypeOf(rhs))
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				if copying(v) {
-					flagValue(v, "variable initialization", p.Info.TypeOf(v))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if x := p.Info.TypeOf(n.X); x != nil {
-					if _, isPtrRange := x.(*types.Pointer); !isPtrRange {
-						flagValue(n.Value, "range value variable", p.Info.TypeOf(n.Value))
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if _, isConv := p.Info.Types[n.Fun]; isConv && p.Info.Types[n.Fun].IsType() {
-				return true
-			}
-			for _, arg := range n.Args {
-				if copying(arg) {
-					flagValue(arg, "call argument", p.Info.TypeOf(arg))
-				}
-			}
-		}
-		return true
-	})
-	return diags
-}
-
-// mixedAtomic implements rule 2 over the whole package: a field passed by
-// address to sync/atomic functions must have no plain reads or writes.
-func mixedAtomic(p *Package, w *World) []Diagnostic {
-	atomicUse := map[*types.Var]token.Pos{}
-	plainUse := map[*types.Var]token.Pos{}
-	atomicArgs := map[ast.Expr]bool{}
-
-	fieldOf := func(sel *ast.SelectorExpr) *types.Var {
-		s := p.Info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return nil
-		}
-		v, _ := s.Obj().(*types.Var)
-		return v
-	}
-
-	for _, f := range p.Files {
-		if testSupport(f) {
-			continue
-		}
-		// First pass: record &x.f arguments to sync/atomic calls.
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !fromPkg(calleeObj(p, call), "sync/atomic") {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				if sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr); ok {
-					if v := fieldOf(sel); v != nil {
-						if _, seen := atomicUse[v]; !seen {
-							atomicUse[v] = arg.Pos()
-						}
-						atomicArgs[un.X] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	// Second pass: report the first plain use of each atomically accessed
-	// field, in AST traversal order. Findings are appended during the walk
-	// (files sorted, positions ascending) rather than collected into a map
-	// and ranged — this package is itself subject to the determinism
-	// contract it enforces.
+func runLocks(p *Package, _ *World) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		if testSupport(f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicArgs[ast.Expr(sel)] {
-				return true
-			}
-			v := fieldOf(sel)
-			if v == nil {
-				return true
-			}
-			if _, isAtomic := atomicUse[v]; !isAtomic {
-				return true
-			}
-			if _, seen := plainUse[v]; !seen {
-				plainUse[v] = sel.Pos()
-				diags = report(diags, p, w, locksAnalyzer, sel.Pos(),
-					"field %s is accessed with sync/atomic elsewhere in this package; plain access races with the atomic path", v.Name())
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if obj := calleeObj(p, n); fromPkg(obj, "sync/atomic") {
+					diags = report(diags, p, locksAnalyzer, n.Pos(),
+						"atomic.%s works on a plain variable that other code can read, write or copy without it; use a typed atomic (atomic.Int64, atomic.Bool, ...)", obj.Name())
+				}
+			case *ast.SelectorExpr:
+				if tn, ok := p.Info.Uses[n.Sel].(*types.TypeName); ok && tn.Pkg() != nil &&
+					tn.Pkg().Path() == "sync/atomic" && tn.Name() == "Value" {
+					diags = report(diags, p, locksAnalyzer, n.Pos(),
+						"atomic.Value copies without a go vet warning; use atomic.Pointer")
+				}
 			}
 			return true
 		})

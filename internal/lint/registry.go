@@ -43,7 +43,7 @@ func runRegistry(p *Package, w *World) []Diagnostic {
 			continue
 		}
 		if obj.Exported() && (types.Implements(named, scheme) || types.Implements(types.NewPointer(named), scheme)) {
-			diags = report(diags, p, w, registryAnalyzer, obj.Pos(),
+			diags = report(diags, p, registryAnalyzer, obj.Pos(),
 				"package %s exports scheme %s but never calls wl.Register; unregistered schemes are unreachable by name", p.Path, name)
 		}
 	}

@@ -28,7 +28,7 @@ var snapshotAnalyzer = &Analyzer{
 
 func init() { snapshotAnalyzer.Run = runSnapshot }
 
-func runSnapshot(p *Package, w *World) []Diagnostic {
+func runSnapshot(p *Package, _ *World) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		if testSupport(f) {
@@ -60,7 +60,7 @@ func runSnapshot(p *Package, w *World) []Diagnostic {
 				continue
 			}
 			covered := fieldsUsedBy(p, named, fd)
-			diags = checkPersistedStruct(diags, p, w, named, st, covered)
+			diags = checkPersistedStruct(diags, p, named, st, covered)
 		}
 	}
 	return diags
@@ -150,7 +150,7 @@ func methodDecls(p *Package, named *types.Named) map[types.Object]*ast.FuncDecl 
 // checkPersistedStruct walks the struct declaration's fields in source form
 // (the comments live on the AST) and reports every field that is neither
 // covered by Snapshot nor annotated with a snap: comment.
-func checkPersistedStruct(diags []Diagnostic, p *Package, w *World, named *types.Named, st *types.Struct, covered map[types.Object]bool) []Diagnostic {
+func checkPersistedStruct(diags []Diagnostic, p *Package, named *types.Named, st *types.Struct, covered map[types.Object]bool) []Diagnostic {
 	astStruct := structDecl(p, named)
 	if astStruct == nil {
 		return diags // declared via a type alias or in another package
@@ -170,7 +170,7 @@ func checkPersistedStruct(diags []Diagnostic, p *Package, w *World, named *types
 			if covered[obj] || snapExempt(fld) {
 				continue
 			}
-			diags = report(diags, p, w, snapshotAnalyzer, obj.Pos(),
+			diags = report(diags, p, snapshotAnalyzer, obj.Pos(),
 				"field %s of persisted type %s is neither written by Snapshot nor marked with a snap: comment; its state is silently dropped on checkpoint", obj.Name(), named.Obj().Name())
 		}
 	}

@@ -1,7 +1,6 @@
 // Package fixconc is the concurrency analyzer's fixture: unjoined
-// goroutines, loop-variable capture in go closures, and accesses to
-// //twl:guardedby state outside its critical section, next to the correct
-// forms of each, which must stay finding-free.
+// goroutines and accesses to //twl:guardedby state outside its critical
+// section, next to the correct forms of each, which must stay finding-free.
 package fixconc
 
 import (
@@ -62,20 +61,6 @@ func badHit() *atomic.Int64 { return &hits }
 // leak spawns a goroutine with no join at all (finding).
 func leak() {
 	go func() { sink(1) }()
-}
-
-// capture spawns joined goroutines that capture the loop variable instead
-// of receiving it as an argument (finding, rule 2 only).
-func capture(work []int) {
-	var wg sync.WaitGroup
-	for _, v := range work {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sink(v)
-		}()
-	}
-	wg.Wait()
 }
 
 // joined passes the work item explicitly and joins through the WaitGroup

@@ -1,61 +1,27 @@
-// Package fixlocks exercises the locks analyzer: by-value copies of structs
-// carrying sync or sync/atomic state, and mixed atomic/plain access to the
-// same field.
+// Package fixlocks exercises the locks analyzer: calls to the sync/atomic
+// package-level functions and uses of atomic.Value, next to the typed
+// atomics, which must stay finding-free.
 package fixlocks
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Hot carries its count in an atomic; Guarded holds a mutex.
-type Hot struct{ n atomic.Int64 }
-
-// Guarded pairs a mutex with the state it guards.
-type Guarded struct {
-	mu   sync.Mutex
-	hits int
-}
-
-// ByValueReceiver copies the mutex on every call: finding.
-func (g Guarded) ByValueReceiver() int { return g.hits }
-
-// TakeByValue copies the mutex at every call site: finding.
-func TakeByValue(g Guarded) int { return g.hits }
-
-// Duplicate splits one atomic counter into two: finding on the assignment.
-func Duplicate(h *Hot) int64 {
-	dup := *h
-	return dup.n.Load()
-}
-
-// Drain copies each element into the range value variable: finding.
-func Drain(hots []Hot) int64 {
-	total := int64(0)
-	for _, h := range hots {
-		total += h.n.Load()
-	}
-	return total
-}
-
-func observe(h Hot) {} // parameter finding
-
-// Feed dereferences into a by-value argument: finding at the call site too.
-func Feed(h *Hot) { observe(*h) }
-
-// SharePointers passes pointers throughout: clean.
-func SharePointers(g *Guarded, h *Hot) {
-	g.mu.Lock()
-	g.hits++
-	g.mu.Unlock()
-	h.n.Add(1)
-}
-
-// racy mixes atomic and plain access to the same field.
+// racy keeps its flag in a plain integer behind the package functions.
 type racy struct{ flag int32 }
 
-// Race stores atomically then reads plainly: finding on the plain read.
+// Race stores atomically then reads plainly: finding on the call.
 func Race(r *racy) bool {
 	atomic.StoreInt32(&r.flag, 1)
 	return r.flag == 1
 }
+
+// box holds an atomic.Value: finding on the type.
+type box struct{ v atomic.Value }
+
+// Load reads the box: no further finding, the type was reported above.
+func (b *box) Load() any { return b.v.Load() }
+
+// Hot carries its count in a typed atomic: clean.
+type Hot struct{ n atomic.Int64 }
+
+// Inc goes through the typed atomic's methods: clean.
+func (h *Hot) Inc() int64 { return h.n.Add(1) }

@@ -7,47 +7,8 @@ import (
 	"strings"
 )
 
-// declName returns the name of the top-level declaration enclosing pos in p
-// ("" when outside any), for allowlist entries scoped to one function or
-// type.
-func declName(p *Package, pos token.Pos) string {
-	for _, f := range p.Files {
-		if pos < f.Pos() || pos >= f.End() {
-			continue
-		}
-		for _, d := range f.Decls {
-			if pos < d.Pos() || pos >= d.End() {
-				continue
-			}
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				return d.Name.Name
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if pos < spec.Pos() || pos >= spec.End() {
-						continue
-					}
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						return s.Name.Name
-					case *ast.ValueSpec:
-						if len(s.Names) > 0 {
-							return s.Names[0].Name
-						}
-					}
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// report appends a finding unless the allowlist sanctions the enclosing
-// declaration (or the whole package) for this analyzer.
-func report(diags []Diagnostic, p *Package, w *World, a *Analyzer, pos token.Pos, format string, args ...any) []Diagnostic {
-	if w.Allow.Allows(a.Name, p.Path, declName(p, pos)) {
-		return diags
-	}
+// report appends a finding of analyzer a at pos.
+func report(diags []Diagnostic, p *Package, a *Analyzer, pos token.Pos, format string, args ...any) []Diagnostic {
 	return append(diags, newDiag(p.Fset, pos, p.Path, a.Name, format, args...))
 }
 

@@ -94,7 +94,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	const goroutines, per = 8, 5000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -77,13 +77,19 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeSpec decodes one job body, rejecting unknown fields.
+// decodeSpec decodes one job body, rejecting unknown fields and anything
+// but whitespace after the object.
 func decodeSpec(r io.Reader) (JobSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
-	err := dec.Decode(&spec)
-	return spec, err
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("trailing data after the job object")
+	}
+	return spec, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -164,10 +164,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
 	}
 
-	// Malformed jobs: broken JSON, unknown fields, bad specs.
+	// Malformed jobs: broken JSON, unknown fields, trailing data, bad specs.
 	for _, body := range []string{
 		`{"schemes": [`,
 		`{"schemes": ["NOWL"], "attacks": ["repeat"], "bogus_field": 1}`,
+		`{"schemes":["NOWL"],"attacks":["repeat"]} garbage`,
+		`{"schemes":["NOWL"],"attacks":["repeat"]}{"schemes":["NOWL"],"attacks":["repeat"]}`,
 		`{"attacks": ["repeat"]}`,
 		`{"schemes": ["XWL"], "attacks": ["repeat"]}`,
 		`{"schemes": ["NOWL"], "attacks": ["ddos"]}`,

@@ -14,18 +14,10 @@ import (
 type PerfConfig struct {
 	// Requests is how many memory requests to simulate per scheme.
 	Requests int
-	// MaxBandwidthMBps anchors the memory-boundedness model (the most
-	// bandwidth-hungry benchmark in the suite; vips at 3309 MBps).
-	MaxBandwidthMBps float64
 	// Metrics, when non-nil, receives per-request latency histograms and
 	// blocked-request counters labeled by scheme and benchmark — the raw
 	// distributional material behind the Figure 9 means.
 	Metrics *obs.Registry
-}
-
-// DefaultPerfConfig returns the configuration used by the Figure 9 bench.
-func DefaultPerfConfig() PerfConfig {
-	return PerfConfig{Requests: 2_000_000, MaxBandwidthMBps: 3309}
 }
 
 // PerfResult reports a scheme's execution time normalized to NOWL.
@@ -47,17 +39,19 @@ type PerfResult struct {
 }
 
 // memoryBoundedness models how much of a benchmark's execution time is
-// memory time, from its write bandwidth: bandwidth-saturating benchmarks
-// (vips) are almost fully memory-bound; trickle writers (streamcluster)
-// hide nearly all memory latency behind compute. The affine floor keeps
-// every benchmark at least mildly sensitive, matching the non-zero
-// overheads Figure 9 shows even for low-bandwidth benchmarks.
-func memoryBoundedness(bench trace.Benchmark, maxMBps float64) float64 {
-	mu := 0.40 + 0.55*(bench.WriteBandwidthMBps/maxMBps)
-	if mu > 1 {
-		mu = 1
+// memory time, from its write bandwidth relative to the most
+// bandwidth-hungry benchmark in the PARSEC table (vips, 3309 MBps):
+// bandwidth-saturating benchmarks are almost fully memory-bound; trickle
+// writers (streamcluster) hide nearly all memory latency behind compute.
+// The affine floor keeps every benchmark at least mildly sensitive,
+// matching the non-zero overheads Figure 9 shows even for low-bandwidth
+// benchmarks.
+func memoryBoundedness(bench trace.Benchmark) float64 {
+	peak := 0.0
+	for _, b := range trace.PARSEC() {
+		peak = max(peak, b.WriteBandwidthMBps)
 	}
-	return mu
+	return min(0.40+0.55*(bench.WriteBandwidthMBps/peak), 1)
 }
 
 // RunPerf measures a scheme's normalized execution time on a benchmark.
@@ -79,9 +73,6 @@ func RunPerf(bench trace.Benchmark, pages int, seed uint64, cfg PerfConfig,
 	if cfg.Requests <= 0 {
 		return PerfResult{}, errors.New("sim: PerfConfig.Requests must be positive")
 	}
-	if cfg.MaxBandwidthMBps <= 0 {
-		return PerfResult{}, errors.New("sim: PerfConfig.MaxBandwidthMBps must be positive")
-	}
 	mem, services, name, err := measure(bench, pages, seed, cfg.Requests, cfg.Metrics, build)
 	if err != nil {
 		return PerfResult{}, err
@@ -93,7 +84,7 @@ func RunPerf(bench trace.Benchmark, pages int, seed uint64, cfg PerfConfig,
 	if base <= 0 {
 		return PerfResult{}, errors.New("sim: baseline accumulated no memory cycles")
 	}
-	mu := memoryBoundedness(bench, cfg.MaxBandwidthMBps)
+	mu := memoryBoundedness(bench)
 	normalized := 1 + mu*float64(mem-base)/float64(base)
 	if normalized < 1 {
 		// A scheme cannot beat the no-op baseline; tiny negative deltas can

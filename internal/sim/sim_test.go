@@ -183,7 +183,7 @@ func TestYearsScalesNormalized(t *testing.T) {
 func TestRunPerfTWLOverheadSmall(t *testing.T) {
 	const pages = 512
 	bench, _ := trace.BenchmarkByName("vips")
-	cfg := PerfConfig{Requests: 300000, MaxBandwidthMBps: 3309}
+	cfg := PerfConfig{Requests: 300000}
 	build := func() (wl.Scheme, error) {
 		return core.New(wltest.NewDevice(t, pages, 11), core.DefaultConfig(3))
 	}
@@ -240,7 +240,7 @@ func TestRunPerfMetrics(t *testing.T) {
 	)
 	bench, _ := trace.BenchmarkByName("vips")
 	reg := obs.NewRegistry()
-	cfg := PerfConfig{Requests: requests, MaxBandwidthMBps: 3309, Metrics: reg}
+	cfg := PerfConfig{Requests: requests, Metrics: reg}
 	var scheme, base *blockCounter
 	build := func() (wl.Scheme, error) {
 		s, err := core.New(wltest.NewDevice(t, pages, 11), core.DefaultConfig(3))
@@ -287,22 +287,18 @@ func TestRunPerfMetrics(t *testing.T) {
 
 func TestRunPerfValidation(t *testing.T) {
 	bench, _ := trace.BenchmarkByName("vips")
-	bad := PerfConfig{Requests: 0, MaxBandwidthMBps: 3309}
+	bad := PerfConfig{Requests: 0}
 	_, err := RunPerf(bench, 64, 1, bad, nil, nil)
 	if err == nil {
 		t.Fatal("zero requests accepted")
-	}
-	bad = PerfConfig{Requests: 10, MaxBandwidthMBps: 0}
-	if _, err := RunPerf(bench, 64, 1, bad, nil, nil); err == nil {
-		t.Fatal("zero max bandwidth accepted")
 	}
 }
 
 func TestMemoryBoundednessOrdering(t *testing.T) {
 	vips, _ := trace.BenchmarkByName("vips")
 	sc, _ := trace.BenchmarkByName("streamcluster")
-	muV := memoryBoundedness(vips, 3309)
-	muS := memoryBoundedness(sc, 3309)
+	muV := memoryBoundedness(vips)
+	muS := memoryBoundedness(sc)
 	if muV <= muS {
 		t.Fatalf("vips boundedness %v not above streamcluster %v", muV, muS)
 	}
@@ -321,7 +317,7 @@ func TestRunPerfQueueView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := PerfConfig{Requests: 60000, MaxBandwidthMBps: 3309}
+		cfg := PerfConfig{Requests: 60000}
 		build := func() (wl.Scheme, error) {
 			return core.New(wltest.NewDevice(t, pages, 11), core.DefaultConfig(3))
 		}

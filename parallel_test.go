@@ -17,7 +17,6 @@ func TestDispatchCellsMidGridFailure(t *testing.T) {
 		var ran [n]atomic.Bool
 		tasks := make([]cellTask, n)
 		for i := range tasks {
-			i := i
 			tasks[i] = cellTask{name: "cell", run: func() error {
 				if i == n/2 {
 					return boom

@@ -21,9 +21,9 @@ pid=""
 trap '[ -n "$pid" ] && kill -KILL "$pid" 2>/dev/null; rm -rf "$work"' EXIT
 
 # Under the inconsistent attack NOWL and OD3P die within tens of
-# milliseconds, while TWL_swp runs for a second or more: the attack defeats
-# the run-length fast paths, so its cell runs at per-write speed and the
-# kill lands mid-simulation.
+# milliseconds, while TWL_swp runs for a second or more: the attack goes
+# through the bulk loop, but at this endurance the TWL_swp cell still runs
+# long enough for the kill to land mid-simulation.
 spec='{"schemes":["NOWL","OD3P","TWL_swp"],"attacks":["inconsistent"],"pages":1024,"mean_endurance":200000,"seeds":[3]}'
 cells=3
 

@@ -241,7 +241,6 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 	scout := make([]LifetimeResult, shards)
 	var tasks []cellTask
 	for i := 0; i < shards; i++ {
-		i := i
 		cap := sim.ShardRequests(globalCap, i, shards)
 		if cap == 0 {
 			scout[i] = skippedShard("")
@@ -301,7 +300,6 @@ func RunShardedLifetime(sys SystemConfig, cfg ShardedConfig) (*ShardedResult, er
 			if i == winner {
 				continue
 			}
-			i := i
 			quota := sim.ShardQuota(globalDemand, i, shards)
 			if quota == 0 {
 				exact[i] = skippedShard(scout[winner].Scheme)

@@ -378,8 +378,9 @@ type (
 	// LifetimeConfig controls a lifetime run (caps, paranoid checking,
 	// metrics, tracing).
 	LifetimeConfig = sim.LifetimeConfig
-	// PerfConfig controls a performance run (request count, bandwidth
-	// anchor, metrics).
+	// PerfConfig controls a performance run (request count, metrics); the
+	// memory-boundedness model's bandwidth anchor is the largest write
+	// bandwidth in the PARSEC table.
 	PerfConfig = sim.PerfConfig
 	// CheckpointConfig controls periodic run-state serialization and resume
 	// inside a LifetimeConfig.
