@@ -76,13 +76,11 @@ servesmoke:
 	./scripts/serve_check.sh
 
 # Short fuzz pass over every fuzz target (CI runs this; locally useful
-# before touching the trace readers, the workload sampler, the Feistel
-# network, the remap table or the twlsimd job spec).
+# before touching the text trace reader, the workload sampler, the Feistel
+# network, the remap table, the event horizons, checkpoint resume or the
+# twlsimd job spec).
 fuzzsmoke:
 	go test ./internal/trace -run '^$$' -fuzz FuzzTextReader -fuzztime 10s
-	go test ./internal/trace -run '^$$' -fuzz FuzzBinaryReader -fuzztime 10s
-	go test ./internal/trace -run '^$$' -fuzz FuzzNVMainReader -fuzztime 10s
-	go test ./internal/trace -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	go test ./internal/trace -run '^$$' -fuzz FuzzSampleRank -fuzztime 10s
 	go test ./internal/rng -run '^$$' -fuzz FuzzFeistelBijection -fuzztime 10s
 	go test ./internal/tables -run '^$$' -fuzz FuzzRemapBijection -fuzztime 10s

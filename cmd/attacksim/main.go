@@ -43,7 +43,7 @@ func main() {
 		replicate  = flag.Int("replicate", 0, "replicate the Figure 6 TWL/BWL inconsistent cells over N seeds and report mean±std")
 		metrics    = flag.Bool("metrics", false, "print a metrics report (grid-cell timing, worker utilization) after the runs")
 		traceFile  = flag.String("trace", "", "write per-cell JSONL trace events to this file")
-		traceEvery = flag.Uint64("trace-every", 0, "in-run progress event cadence (0: default)")
+		traceEvery = flag.Uint64("trace-every", 0, "-retire runs only: in-run progress event cadence (0: default)")
 		pprofPfx   = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()

@@ -22,18 +22,17 @@ import (
 
 func main() {
 	var (
-		table2     = flag.Bool("table2", false, "regenerate Table 2")
-		fig8       = flag.Bool("fig8", false, "regenerate Figure 8")
-		fig9       = flag.Bool("fig9", false, "regenerate Figure 9")
-		pages      = flag.Int("pages", 0, "simulated pages (default: DefaultSystem)")
-		endurance  = flag.Float64("endurance", 0, "mean endurance (default: DefaultSystem)")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		benches    = flag.String("benchmarks", "", "comma-separated benchmark subset")
-		requests   = flag.Int("requests", 0, "Figure 9 requests per benchmark (default 1e6)")
-		metrics    = flag.Bool("metrics", false, "print a metrics report (cell timing, per-scheme latency histograms) after the runs")
-		traceFile  = flag.String("trace", "", "write per-cell JSONL trace events to this file")
-		traceEvery = flag.Uint64("trace-every", 0, "in-run progress event cadence (0: default)")
-		pprofPfx   = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
+		table2    = flag.Bool("table2", false, "regenerate Table 2")
+		fig8      = flag.Bool("fig8", false, "regenerate Figure 8")
+		fig9      = flag.Bool("fig9", false, "regenerate Figure 9")
+		pages     = flag.Int("pages", 0, "simulated pages (default: DefaultSystem)")
+		endurance = flag.Float64("endurance", 0, "mean endurance (default: DefaultSystem)")
+		seed      = flag.Uint64("seed", 1, "simulation seed")
+		benches   = flag.String("benchmarks", "", "comma-separated benchmark subset")
+		requests  = flag.Int("requests", 0, "Figure 9 requests per benchmark (default 1e6)")
+		metrics   = flag.Bool("metrics", false, "print a metrics report (cell timing, per-scheme latency histograms) after the runs")
+		traceFile = flag.String("trace", "", "write JSONL trace events to this file, one event per grid cell")
+		pprofPfx  = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
 	cliutil.Check("benchsim", cliutil.FirstError(
@@ -60,7 +59,7 @@ func main() {
 		f, err := os.Create(*traceFile)
 		fatal(err)
 		defer func() { fatal(f.Close()) }()
-		tr = twl.NewRunTracer(f, *traceEvery)
+		tr = twl.NewRunTracer(f, 0)
 		defer func() { fatal(tr.Err()) }()
 	}
 

@@ -1,12 +1,11 @@
 // Command tracegen generates and inspects synthetic PARSEC memory traces.
 //
-//	tracegen -bench canneal -n 1000000 -o canneal.trace        # text format
-//	tracegen -bench vips -n 5000000 -binary -o vips.btrace     # binary
+//	tracegen -bench canneal -n 1000000 -o canneal.trace        # generate
 //	tracegen -inspect canneal.trace                            # statistics
 //
-// Generated traces replay through the simulator (sim.FromTrace) or any
-// external tool; the text format is one "W addr" / "R addr" line per
-// record.
+// The records are the request stream sim.FromWorkload serves from a
+// generator of the same benchmark, pages and seed, in a text format for
+// external tools: one "W addr" / "R addr" line per record.
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 		n        = flag.Int("n", 1_000_000, "number of records to generate")
 		pages    = flag.Int("pages", 2048, "logical page count")
 		seed     = flag.Uint64("seed", 1, "generator seed")
-		binary   = flag.Bool("binary", false, "write the compact binary format")
 		out      = flag.String("o", "", "output file (default stdout)")
 		inspect  = flag.String("inspect", "", "inspect an existing trace file instead of generating")
 		metrics  = flag.Bool("metrics", false, "print a record-count metrics report to stderr after generating")
@@ -48,7 +46,7 @@ func main() {
 	}
 
 	if *inspect != "" {
-		fatal(inspectTrace(*inspect, *binary))
+		fatal(inspectTrace(*inspect))
 		return
 	}
 
@@ -65,65 +63,44 @@ func main() {
 		w = f
 	}
 
-	var sink func(trace.Record) error
-	var flush func() error
-	var count func() int
-	if *binary {
-		bw := trace.NewBinaryWriter(w)
-		sink, flush, count = bw.Write, bw.Flush, bw.Count
-	} else {
-		tw := trace.NewWriter(w)
-		sink, flush, count = tw.Write, tw.Flush, tw.Count
-	}
+	tw := trace.NewWriter(w)
+	sink := tw.Write
 	var reg *obs.Registry
 	if *metrics {
 		reg = obs.NewRegistry()
 		reg.Help("twl_trace_records_total", "trace records generated, by op")
 		writes := reg.Counter("twl_trace_records_total", obs.L("op", "write"))
 		reads := reg.Counter("twl_trace_records_total", obs.L("op", "read"))
-		inner := sink
 		sink = func(rec trace.Record) error {
 			if rec.Op == trace.Write {
 				writes.Inc()
 			} else {
 				reads.Inc()
 			}
-			return inner(rec)
+			return tw.Write(rec)
 		}
 	}
 	fatal(g.Generate(*n, sink))
-	fatal(flush())
-	format := "text"
-	if *binary {
-		format = "binary"
-	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d %s records (%s, %d pages, zipf s=%.3f)\n",
-		count(), format, b.Name, *pages, g.Exponent())
+	fatal(tw.Flush())
+	fmt.Fprintf(os.Stderr, "tracegen: %d text records (%s, %d pages, zipf s=%.3f)\n",
+		tw.Count(), b.Name, *pages, g.Exponent())
 	if reg != nil {
 		fatal(reg.WriteText(os.Stderr))
 	}
 }
 
-func inspectTrace(path string, binary bool) error {
+func inspectTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = f.Close() }() // read side: Close cannot lose data
 
-	read := func() (trace.Record, error) { return trace.Record{}, io.EOF }
-	if binary {
-		r := trace.NewBinaryReader(f)
-		read = r.Read
-	} else {
-		r := trace.NewReader(f)
-		read = r.Read
-	}
-
+	r := trace.NewReader(f)
 	counts := map[uint64]int{}
 	var reads, writes int
 	for {
-		rec, err := read()
+		rec, err := r.Read()
 		if err == io.EOF {
 			break
 		}

@@ -37,7 +37,7 @@ func main() {
 		pages      = flag.Int("pages", 0, "simulated pages (default: DefaultSystem)")
 		endurance  = flag.Float64("endurance", 0, "mean endurance in writes (default: DefaultSystem)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
-		bandwidth  = flag.Float64("bw", twl.Fig6AttackBandwidth, "write bandwidth in B/s for year conversion")
+		bandwidth  = flag.Float64("bw", twl.Fig6AttackBandwidth, "attack runs only: write bandwidth in B/s for year conversion (PARSEC runs use the benchmark's own)")
 		config     = flag.Bool("config", false, "print the simulated configuration and exit")
 		paranoid   = flag.Bool("paranoid", false, "check scheme invariants during the run")
 		heatmap    = flag.Bool("heatmap", false, "print the final wear heatmap (wear/endurance per page)")
@@ -58,11 +58,14 @@ func main() {
 		printConfig()
 		return
 	}
+	bwSet := false
+	flag.Visit(func(f *flag.Flag) { bwSet = bwSet || f.Name == "bw" })
 	cliutil.Check("twlsim", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
 		cliutil.NonNegativeFloat("-endurance", *endurance),
 		cliutil.PositiveFloat("-bw", *bandwidth),
+		cliutil.Requires("-bw", bwSet, "-attack", *attackMode != ""),
 		cliutil.Exclusive("-attack", *attackMode != "", "-bench", *bench != ""),
 		cliutil.Requires("-resume", *resume, "-checkpoint", *ckptFile != ""),
 		cliutil.Fraction("-spare-frac", *spareFrac, true),

@@ -63,6 +63,21 @@ func TestNonPositiveBandwidthRejected(t *testing.T) {
 	}
 }
 
+// TestBandwidthRequiresAttack: a PARSEC run converts to years with the
+// benchmark's own bandwidth, so an explicit -bw without -attack would be
+// ignored; it is a usage error, rejected before any output.
+func TestBandwidthRequiresAttack(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "canneal", "-bw", "1e9"},
+		{"-bw", "1e9"},
+	} {
+		out, stderr, code := run(t, append(args, "-pages", "512", "-endurance", "5000")...)
+		if code != 2 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q; want exit 2 and no output (stderr %q)", strings.Join(args, " "), code, out, stderr)
+		}
+	}
+}
+
 var normalizedRow = regexp.MustCompile(`(?m)^normalized lifetime\s+(\S+)`)
 
 // TestAttackSizedToLogicalPages: an attack run addresses only the pages the

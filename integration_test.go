@@ -1,6 +1,8 @@
 package twl
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"twl/internal/attack"
@@ -168,12 +170,13 @@ func TestIntegrationDetectorSeesWhatTWLSurvives(t *testing.T) {
 	}
 }
 
-// TestIntegrationTraceFileRoundTrip generates a synthetic trace, encodes it
-// through the binary codec, replays it from the file representation and
-// confirms the replay produces the identical wear pattern as the direct
-// stream — the tracegen/benchsim pipeline end to end.
+// TestIntegrationTraceFileRoundTrip generates a synthetic trace as tracegen
+// does, round-trips it through the text codec, and requires every record to
+// equal the request sim.FromWorkload serves from a generator of the same
+// benchmark, pages and seed: what tracegen writes is what a lifetime run
+// simulates.
 func TestIntegrationTraceFileRoundTrip(t *testing.T) {
-	const pages = 256
+	const pages, n = 256, 50000
 	b, err := trace.BenchmarkByName("ferret")
 	if err != nil {
 		t.Fatal(err)
@@ -182,52 +185,33 @@ func TestIntegrationTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []trace.Record
-	if err := g.Generate(50000, func(r trace.Record) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if err := g.Generate(n, w.Write); err != nil {
 		t.Fatal(err)
 	}
-
-	runOver := func(src sim.Source) *Device {
-		sys := SystemConfig{Pages: pages, PageSize: 4096, MeanEndurance: 1e9, SigmaFraction: 0.11, Seed: 5}
-		dev, err := sys.NewDevice()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewScheme("TWL_swp", dev, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb := attack.Feedback{}
-		for i := 0; i < 50000; i++ {
-			addr, write := src.Next(fb)
-			if write {
-				s.Write(addr, uint64(i))
-			} else {
-				s.Read(addr)
-			}
-		}
-		return dev
-	}
-
-	fileSrc, err := sim.FromTrace(recs, pages)
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	devA := runOver(fileSrc)
 
 	g2, err := trace.NewSynthetic(b, pages, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	devB := runOver(sim.FromWorkload(g2))
-
-	for p := 0; p < pages; p++ {
-		if devA.Wear(p) != devB.Wear(p) {
-			t.Fatalf("wear diverged at page %d: %d vs %d", p, devA.Wear(p), devB.Wear(p))
+	src := sim.FromWorkload(g2)
+	r := trace.NewReader(&buf)
+	for i := 0; i < n; i++ {
+		rec, err := r.Read()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
+		addr, write := src.Next(attack.Feedback{})
+		if rec.Addr != uint64(addr) || (rec.Op == trace.Write) != write {
+			t.Fatalf("record %d = %c %d, source served addr %d write %v", i, rec.Op, rec.Addr, addr, write)
+		}
+	}
+	if _, err := r.Read(); err != io.EOF {
+		t.Fatalf("after %d records: %v, want EOF", n, err)
 	}
 }
 

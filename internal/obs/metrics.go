@@ -162,15 +162,6 @@ func (h *Histogram) AddSnapshot(s HistogramSnapshot) error {
 	return nil
 }
 
-// LinearBuckets returns n bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // ExponentialBuckets returns n bounds start, start·factor, start·factor², …
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	b := make([]float64, n)

@@ -154,10 +154,6 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 3)
-	if lin[0] != 10 || lin[1] != 15 || lin[2] != 20 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 	exp := ExponentialBuckets(250, 2, 4)
 	if exp[0] != 250 || exp[3] != 2000 {
 		t.Fatalf("ExponentialBuckets = %v", exp)

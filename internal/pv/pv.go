@@ -3,8 +3,7 @@
 // The paper assumes endurance is tested by the manufacturer at page
 // granularity and follows a Gaussian distribution with mean 1e8 writes and a
 // standard deviation of 11% of the mean (Section 5.1, following Dong et al.
-// DAC'11). This package generates per-page endurance maps under that model
-// and two alternative models used by the ablation benches.
+// DAC'11). This package generates per-page endurance maps under that model.
 package pv
 
 import (
@@ -15,35 +14,18 @@ import (
 	"twl/internal/rng"
 )
 
-// Model selects how per-page endurance is drawn.
+// Model selects how per-page endurance is drawn; Gaussian is the only model.
 type Model int
 
-const (
-	// Gaussian draws endurance i.i.d. from N(mean, sigma), the paper's model.
-	Gaussian Model = iota
-	// Correlated draws endurance from a Gaussian random walk across the
-	// address space, modeling spatially-correlated systematic variation
-	// (wafer-level gradients). Used by ablations: adjacent pairing performs
-	// relatively better here because neighbors have similar endurance.
-	Correlated
-	// Bimodal models a die with a fraction of distinctly weak pages
-	// (e.g. outlier cells dominating a page), a harder case for
-	// prediction-based schemes.
-	Bimodal
-)
+// Gaussian draws endurance i.i.d. from N(mean, sigma), the paper's model.
+const Gaussian Model = 0
 
 // String implements fmt.Stringer.
 func (m Model) String() string {
-	switch m {
-	case Gaussian:
+	if m == Gaussian {
 		return "gaussian"
-	case Correlated:
-		return "correlated"
-	case Bimodal:
-		return "bimodal"
-	default:
-		return fmt.Sprintf("pv.Model(%d)", int(m))
 	}
+	return fmt.Sprintf("pv.Model(%d)", int(m))
 }
 
 // Config describes an endurance map to generate.
@@ -53,15 +35,6 @@ type Config struct {
 	Sigma float64 // standard deviation in writes (paper: 0.11 * Mean)
 	Model Model
 	Seed  uint64
-
-	// WeakFraction and WeakScale configure the Bimodal model: WeakFraction
-	// of pages have mean endurance WeakScale*Mean. Ignored otherwise.
-	WeakFraction float64
-	WeakScale    float64
-
-	// CorrelationLength is the random-walk smoothing window for the
-	// Correlated model, in pages. Ignored otherwise.
-	CorrelationLength int
 }
 
 // DefaultConfig returns the paper's endurance model for a given page count:
@@ -92,50 +65,13 @@ func Generate(cfg Config) ([]uint64, error) {
 	if cfg.Sigma < 0 {
 		return nil, errors.New("pv: Sigma must be non-negative")
 	}
+	if cfg.Model != Gaussian {
+		return nil, fmt.Errorf("pv: unknown model %v", cfg.Model)
+	}
 	g := rng.NewGaussian(rng.NewXorshift(cfg.Seed))
 	out := make([]uint64, cfg.Pages)
-	switch cfg.Model {
-	case Gaussian:
-		for i := range out {
-			out[i] = clamp(g.Sample(cfg.Mean, cfg.Sigma))
-		}
-	case Correlated:
-		n := cfg.CorrelationLength
-		if n <= 0 {
-			n = 64
-		}
-		// Systematic component: a smoothed random walk with the configured
-		// correlation length; random component: half the total variance.
-		sysSigma := cfg.Sigma / math.Sqrt2
-		rndSigma := cfg.Sigma / math.Sqrt2
-		level := g.Sample(0, sysSigma)
-		for i := range out {
-			if i%n == 0 && i > 0 {
-				// Move the systematic level with partial memory so nearby
-				// blocks stay similar.
-				level = 0.7*level + 0.3*g.Sample(0, sysSigma)
-			}
-			out[i] = clamp(cfg.Mean + level + g.Sample(0, rndSigma))
-		}
-	case Bimodal:
-		weakFrac := cfg.WeakFraction
-		if weakFrac <= 0 {
-			weakFrac = 0.05
-		}
-		weakScale := cfg.WeakScale
-		if weakScale <= 0 {
-			weakScale = 0.5
-		}
-		u := rng.NewXorshift(cfg.Seed + 1)
-		for i := range out {
-			mean := cfg.Mean
-			if u.Float64() < weakFrac {
-				mean *= weakScale
-			}
-			out[i] = clamp(g.Sample(mean, cfg.Sigma))
-		}
-	default:
-		return nil, fmt.Errorf("pv: unknown model %v", cfg.Model)
+	for i := range out {
+		out[i] = clamp(g.Sample(cfg.Mean, cfg.Sigma))
 	}
 	return out, nil
 }
@@ -145,21 +81,6 @@ func clamp(v float64) uint64 {
 		return MinEndurance
 	}
 	return uint64(v)
-}
-
-// Scale returns a copy of the endurance map scaled by factor, clamped at
-// MinEndurance. The simulator uses this to run scaled-endurance experiments
-// (see DESIGN.md, substitution 3) while preserving the relative variation.
-func Scale(endurance []uint64, factor float64) []uint64 {
-	out := make([]uint64, len(endurance))
-	for i, e := range endurance {
-		v := float64(e) * factor
-		if v < MinEndurance {
-			v = MinEndurance
-		}
-		out[i] = uint64(v)
-	}
-	return out
 }
 
 // Summary reports aggregate statistics of an endurance map.

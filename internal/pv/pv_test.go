@@ -3,7 +3,6 @@ package pv
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestGenerateGaussianMoments(t *testing.T) {
@@ -80,93 +79,6 @@ func TestGenerateAllPositive(t *testing.T) {
 	}
 }
 
-func TestBimodalHasWeakPopulation(t *testing.T) {
-	cfg := Config{
-		Pages: 50000, Mean: 1e8, Sigma: 0.05e8, Model: Bimodal, Seed: 9,
-		WeakFraction: 0.1, WeakScale: 0.5,
-	}
-	m, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weak := 0
-	for _, e := range m {
-		if float64(e) < 0.75*cfg.Mean {
-			weak++
-		}
-	}
-	frac := float64(weak) / float64(len(m))
-	if frac < 0.05 || frac > 0.15 {
-		t.Fatalf("weak page fraction %v, want ~0.10", frac)
-	}
-}
-
-func TestCorrelatedNeighborsSimilar(t *testing.T) {
-	cfg := Config{
-		Pages: 65536, Mean: 1e8, Sigma: 0.11e8, Model: Correlated, Seed: 4,
-		CorrelationLength: 256,
-	}
-	m, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean absolute difference between adjacent pages should be smaller than
-	// between random pairs for a spatially-correlated map.
-	adj := 0.0
-	for i := 1; i < len(m); i++ {
-		adj += math.Abs(float64(m[i]) - float64(m[i-1]))
-	}
-	adj /= float64(len(m) - 1)
-	far := 0.0
-	half := len(m) / 2
-	for i := 0; i < half; i++ {
-		far += math.Abs(float64(m[i]) - float64(m[i+half]))
-	}
-	far /= float64(half)
-	if adj >= far {
-		t.Fatalf("adjacent diff %v not smaller than far diff %v; map not correlated", adj, far)
-	}
-}
-
-func TestScale(t *testing.T) {
-	m := []uint64{100, 200, 0x7FFFFFFF}
-	s := Scale(m, 0.5)
-	want := []uint64{50, 100, 0x3FFFFFFF}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("Scale[%d] = %d, want %d", i, s[i], want[i])
-		}
-	}
-	// Scaling to ~zero clamps at MinEndurance.
-	z := Scale([]uint64{10}, 0.0001)
-	if z[0] != MinEndurance {
-		t.Fatalf("Scale clamp = %d, want %d", z[0], MinEndurance)
-	}
-}
-
-func TestScalePreservesOrderProperty(t *testing.T) {
-	// Property: scaling preserves the relative order of endurance values
-	// (up to equal values), which is what strong-weak pairing depends on.
-	check := func(seed uint64) bool {
-		m, err := Generate(DefaultConfig(256, seed))
-		if err != nil {
-			return false
-		}
-		s := Scale(m, 1e-4)
-		for i := 0; i < len(m); i++ {
-			for j := i + 1; j < len(m); j++ {
-				if m[i] < m[j] && s[i] > s[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
 	if s.Pages != 0 || s.Mean != 0 {
@@ -189,7 +101,7 @@ func TestSummarizeKnownValues(t *testing.T) {
 }
 
 func TestModelString(t *testing.T) {
-	if Gaussian.String() != "gaussian" || Correlated.String() != "correlated" || Bimodal.String() != "bimodal" {
+	if Gaussian.String() != "gaussian" {
 		t.Fatal("Model.String mismatch")
 	}
 	if Model(42).String() == "" {

@@ -64,28 +64,6 @@ func (w workloadSource) Snapshot(wr io.Writer) error { return w.g.Snapshot(wr) }
 // Restore implements wl.Snapshotter via the synthetic generator.
 func (w workloadSource) Restore(r io.Reader) error { return w.g.Restore(r) }
 
-// Snapshot implements wl.Snapshotter: only the replay position is mutable
-// (the folded records are construction inputs).
-func (r *replaySource) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w)
-	sw.Int(r.pos)
-	return sw.Err()
-}
-
-// Restore implements wl.Snapshotter.
-func (r *replaySource) Restore(rd io.Reader) error {
-	sr := snap.NewReader(rd)
-	pos := sr.Int()
-	if err := sr.Err(); err != nil {
-		return err
-	}
-	if pos < 0 || pos >= len(r.recs) {
-		return fmt.Errorf("sim: checkpoint replay position %d outside trace of %d records", pos, len(r.recs))
-	}
-	r.pos = pos
-	return nil
-}
-
 // validateCheckpointConfig fails fast — before any request is served — when
 // a checkpointed run has no path or a source that cannot be serialized (a
 // caller-built Source need not checkpoint; every scheme does).

@@ -189,7 +189,7 @@ func TestCheckpointResumeAcrossPaths(t *testing.T) {
 		})
 	}
 	for _, name := range []string{"NOWL", "TWL_swp"} {
-		for _, kind := range []string{"scan", "inconsistent", "trace"} {
+		for _, kind := range []string{"scan", "inconsistent"} {
 			t.Run(name+"/"+kind, func(t *testing.T) {
 				build := registryFactory(name)
 				baseline := ckptRunOne(t, build, kind, false, 0, nil)

@@ -124,12 +124,12 @@ func (l *lifetimeState) perRequestBare(src Source) error {
 	return nil
 }
 
-// bulkLoop is the fast-forward path: the source emits runs (same address) or
-// sweeps (consecutive addresses), and the scheme absorbs the event-free
-// prefix of each run in bulk. Event writes (absorbed == 0), and sweeps over a
-// scheme without a sweep fast path, are served through the identical
-// per-request accounting as perRequestLoop, so results are bit-identical
-// either way.
+// bulkLoop is the fast-forward path: the source emits write runs (same
+// address) or sweeps (consecutive addresses), and the scheme absorbs the
+// event-free prefix of each run in bulk. Event writes (absorbed == 0), and
+// sweeps over a scheme without a sweep fast path, are served through the
+// identical per-request accounting as perRequestLoop, so results are
+// bit-identical either way.
 //
 //twl:hotpath
 func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sweep bool) error {
@@ -150,16 +150,7 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 				continue
 			}
 			if !write {
-				// Read runs never intersect a checkpoint (checkpoints fire
-				// on demand-write boundaries only), so they are served
-				// whole and never persisted as pending state. Reads are
-				// address-free and share one feedback, so one ReadN and one
-				// Observe stand for the run's per-read calls.
-				l.readN(n)
-				if l.observer != nil {
-					l.observer.Observe(l.fb, n)
-				}
-				continue
+				return errReadRun
 			}
 			l.runActive, l.runAddr, l.runN, l.runOff = true, addr, n, 0
 		}

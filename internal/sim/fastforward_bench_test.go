@@ -10,8 +10,7 @@ import (
 // benchKinds are the source kinds BenchmarkFastForward times: repeat and
 // inconsistent drive bulkLoop's run path, scan its sweep path, and parsec
 // (canneal) writeLoop's batched reads. The random attack has no run
-// structure for a fast path to absorb, and the trace kind is a test
-// fixture, not a workload.
+// structure for a fast path to absorb.
 var benchKinds = []string{"repeat", "scan", "inconsistent", "parsec"}
 
 // benchLifetime times full lifetime runs (to first page failure) at the

@@ -35,30 +35,11 @@ const (
 	diffSeed      = 7
 )
 
-// diffTrace builds a replay trace with same-address write bursts of varying
-// lengths, interleaved reads (including read runs), and raw addresses beyond
-// the page range (exercising the FromTrace folding).
-func diffTrace() []trace.Record {
-	var recs []trace.Record
-	for i := 0; i < 48; i++ {
-		addr := uint64(i*37 + i%3*1000)
-		for j := 0; j < i%7+1; j++ {
-			recs = append(recs, trace.Record{Op: trace.Write, Addr: addr})
-		}
-		if i%3 == 0 {
-			for j := 0; j < i%4+1; j++ {
-				recs = append(recs, trace.Record{Op: trace.Read, Addr: addr + 5})
-			}
-		}
-	}
-	return recs
-}
-
 // diffKinds are the differential source kinds: each fast loop against the
 // per-request reference. repeat and inconsistent drive bulkLoop's run path
-// (inconsistent with deferred feedback), scan its sweep path, trace its run
-// path with read runs, and parsec writeLoop's batched reads.
-var diffKinds = []string{"repeat", "scan", "trace", "inconsistent", "parsec"}
+// (inconsistent with deferred feedback), scan its sweep path, and parsec
+// writeLoop's batched reads.
+var diffKinds = []string{"repeat", "scan", "inconsistent", "parsec"}
 
 // diffSource builds the request source for one differential run, sized to
 // the scheme's demand-addressable space (schemes with spare gap pages serve
@@ -79,12 +60,6 @@ func diffSource(t testing.TB, kind string, pages int) Source {
 			t.Fatal(err)
 		}
 		return FromAttack(st)
-	case "trace":
-		src, err := FromTrace(diffTrace(), pages)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
 	case "parsec":
 		b, err := trace.BenchmarkByName("canneal")
 		if err != nil {
@@ -250,14 +225,14 @@ func TestFastForwardImplementers(t *testing.T) {
 }
 
 // TestFastForwardDifferential runs every registered scheme against the
-// repeat attack, the scan attack, a bursty RLE trace replay, the
-// feedback-driven inconsistent attack and a PARSEC workload through both
-// the fast paths and the per-request path, and requires bit-identical
-// observables (see diffCompare). Every scheme has WriteRun, so only BWL's
-// scan cell runs wholly through the bulk loop's per-write branch; the
-// inconsistent column additionally proves that deferred feedback delivery
-// (sim.FeedbackObserver) keeps the attacker's swap-phase detection — and
-// hence every reversal — bit-aligned with the serial stream.
+// repeat attack, the scan attack, the feedback-driven inconsistent attack
+// and a PARSEC workload through both the fast paths and the per-request
+// path, and requires bit-identical observables (see diffCompare). Every
+// scheme has WriteRun, so only BWL's scan cell runs wholly through the bulk
+// loop's per-write branch; the inconsistent column additionally proves that
+// deferred feedback delivery (sim.FeedbackObserver) keeps the attacker's
+// swap-phase detection — and hence every reversal — bit-aligned with the
+// serial stream.
 func TestFastForwardDifferential(t *testing.T) {
 	for _, name := range wl.Names() {
 		for _, kind := range diffKinds {

@@ -30,12 +30,6 @@ type PerfResult struct {
 	BaselineMemCycles int64
 	// Normalized is the modeled execution-time ratio vs NOWL (≥ 1).
 	Normalized float64
-	// Queue is the utilization view: the same request stream replayed
-	// against a single-server channel with the benchmark's demand cadence.
-	// Swap blocking compounds here in a way bare latency sums do not.
-	Queue QueueStats
-	// BaselineQueue is NOWL's queue view for comparison.
-	BaselineQueue QueueStats
 }
 
 // memoryBoundedness models how much of a benchmark's execution time is
@@ -73,11 +67,11 @@ func RunPerf(bench trace.Benchmark, pages int, seed uint64, cfg PerfConfig,
 	if cfg.Requests <= 0 {
 		return PerfResult{}, errors.New("sim: PerfConfig.Requests must be positive")
 	}
-	mem, services, name, err := measure(bench, pages, seed, cfg.Requests, cfg.Metrics, build)
+	mem, name, err := measure(bench, pages, seed, cfg.Requests, cfg.Metrics, build)
 	if err != nil {
 		return PerfResult{}, err
 	}
-	base, baseServices, _, err := measure(bench, pages, seed, cfg.Requests, cfg.Metrics, buildBaseline)
+	base, _, err := measure(bench, pages, seed, cfg.Requests, cfg.Metrics, buildBaseline)
 	if err != nil {
 		return PerfResult{}, err
 	}
@@ -91,63 +85,39 @@ func RunPerf(bench trace.Benchmark, pages int, seed uint64, cfg PerfConfig,
 		// only come from modeling noise, clamp them.
 		normalized = 1
 	}
-	res := PerfResult{
+	return PerfResult{
 		Scheme:            name,
 		Benchmark:         bench.Name,
 		MemCycles:         mem,
 		BaselineMemCycles: base,
 		Normalized:        normalized,
-	}
-	// Queue view: requests arrive at the cadence the benchmark's bandwidth
-	// implies — one page-sized request every PageSize/BW seconds. The write
-	// fraction scales the count of wear-relevant requests to total traffic.
-	interarrival := interarrivalCycles(bench)
-	if interarrival > 0 {
-		if res.Queue, err = QueuedPerf(services, interarrival); err != nil {
-			return PerfResult{}, err
-		}
-		if res.BaselineQueue, err = QueuedPerf(baseServices, interarrival); err != nil {
-			return PerfResult{}, err
-		}
-	}
-	return res, nil
-}
-
-// interarrivalCycles derives the request cadence from the benchmark's write
-// bandwidth: writes arrive at BW/PageSize per second, and total requests at
-// writes/WriteFraction; at 2 GHz that spacing in cycles is
-// clock × PageSize × WriteFraction / BW.
-func interarrivalCycles(bench trace.Benchmark) int64 {
-	const clockHz = 2e9
-	const pageSize = 4096
-	bw := bench.WriteBandwidthMBps * 1e6
-	if bw <= 0 || bench.WriteFraction <= 0 {
-		return 0
-	}
-	return int64(clockHz * pageSize * bench.WriteFraction / bw)
+	}, nil
 }
 
 // measure replays the benchmark stream through a freshly built scheme and
-// returns accumulated memory cycles plus the per-request service times.
-// When reg is non-nil the run's requests are recorded there (recordPerf).
+// returns the accumulated memory cycles. When reg is non-nil the run's
+// requests are recorded there (perfMetrics).
 func measure(bench trace.Benchmark, pages int, seed uint64, requests int,
-	reg *obs.Registry, build func() (wl.Scheme, error)) (int64, []int64, string, error) {
+	reg *obs.Registry, build func() (wl.Scheme, error)) (int64, string, error) {
 	s, err := build()
 	if err != nil {
-		return 0, nil, "", err
+		return 0, "", err
 	}
 	if s.Device().Pages() < pages {
-		return 0, nil, "", fmt.Errorf("sim: scheme device has %d pages, need >= %d", s.Device().Pages(), pages)
+		return 0, "", fmt.Errorf("sim: scheme device has %d pages, need >= %d", s.Device().Pages(), pages)
 	}
 	name := s.Name()
 	g, err := trace.NewSynthetic(bench, pages, seed)
 	if err != nil {
-		return 0, nil, "", err
+		return 0, "", err
+	}
+	var pm *perfMetrics
+	if reg != nil {
+		pm = newPerfMetrics(reg, name, bench.Name)
 	}
 	timing := s.Device().Timing()
 	var cycles int64
 	var writes, blocked uint64
-	services := make([]int64, 0, requests)
 	src := FromWorkload(g)
 	var fb attack.Feedback
 	for i := 0; i < requests; i++ {
@@ -164,30 +134,40 @@ func measure(bench trace.Benchmark, pages int, seed uint64, requests int,
 		}
 		c := cost.Cycles(timing)
 		cycles += c
-		services = append(services, c)
+		if pm != nil {
+			pm.latency.Observe(float64(c))
+		}
 	}
-	if reg != nil {
-		recordPerf(reg, name, bench.Name, services, writes, blocked)
+	if pm != nil {
+		pm.writes.Add(writes)
+		pm.reads.Add(uint64(requests) - writes)
+		pm.blocked.Add(blocked)
+		pm.requests.Add(uint64(requests))
 	}
-	return cycles, services, name, nil
+	return cycles, name, nil
 }
 
-// recordPerf records a performance run's requests in reg: scheme-labeled
+// perfMetrics holds the series a performance run records: scheme-labeled
 // request counts by op, blocked requests and a per-request latency
 // histogram — the distributional material behind the Figure 9 means — and
 // a benchmark-labeled request counter that tracks coverage.
-func recordPerf(reg *obs.Registry, scheme, bench string, services []int64, writes, blocked uint64) {
+type perfMetrics struct {
+	writes, reads, blocked, requests *obs.Counter
+	latency                          *obs.Histogram
+}
+
+// newPerfMetrics registers the series in the order exporters list them.
+func newPerfMetrics(reg *obs.Registry, scheme, bench string) *perfMetrics {
 	label := obs.L("scheme", scheme)
 	reg.Help("twl_scheme_requests_total", "logical requests served by the scheme, by op")
 	reg.Help("twl_scheme_blocked_total", "requests delayed behind an internal swap phase")
 	reg.Help("twl_scheme_request_cycles", "per-request latency in CPU cycles")
-	reg.Counter("twl_scheme_requests_total", label, obs.L("op", "write")).Add(writes)
-	reg.Counter("twl_scheme_requests_total", label, obs.L("op", "read")).Add(uint64(len(services)) - writes)
-	reg.Counter("twl_scheme_blocked_total", label).Add(blocked)
-	latency := reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label)
-	for _, c := range services {
-		latency.Observe(float64(c))
-	}
 	reg.Help("twl_perf_requests_total", "performance-run requests, by scheme and benchmark")
-	reg.Counter("twl_perf_requests_total", label, obs.L("benchmark", bench)).Add(uint64(len(services)))
+	return &perfMetrics{
+		writes:   reg.Counter("twl_scheme_requests_total", label, obs.L("op", "write")),
+		reads:    reg.Counter("twl_scheme_requests_total", label, obs.L("op", "read")),
+		blocked:  reg.Counter("twl_scheme_blocked_total", label),
+		latency:  reg.Histogram("twl_scheme_request_cycles", obs.DefaultLatencyBuckets(), label),
+		requests: reg.Counter("twl_perf_requests_total", label, obs.L("benchmark", bench)),
+	}
 }

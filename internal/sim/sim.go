@@ -35,14 +35,15 @@ type Source interface {
 }
 
 // RunSource is the optional fast-forward extension of Source: the stream's
-// next n requests are all the same operation on the same address. Sources
-// implementing it must not vary their output based on the per-request
-// Feedback (the simulator hands the fast path a per-batch feedback, not a
-// per-request one) — unless they also implement FeedbackObserver, which
-// restores per-request feedback delivery — and must treat all n requests as
-// consumed even if the run ends early (device failure or the demand cap).
-// RunLifetime consumes write runs through the scheme's WriteRun and serves
-// the event writes it declines as per-request Write calls, bit-identically.
+// next n requests are all writes to the same address (write is always true;
+// RunLifetime fails on a run of reads). Sources implementing it must not
+// vary their output based on the per-request Feedback (the simulator hands
+// the fast path a per-batch feedback, not a per-request one) — unless they
+// also implement FeedbackObserver, which restores per-request feedback
+// delivery — and must treat all n requests as consumed even if the run ends
+// early (device failure or the demand cap). RunLifetime consumes runs
+// through the scheme's WriteRun and serves the event writes it declines as
+// per-request Write calls, bit-identically.
 type RunSource interface {
 	Source
 	NextRun(fb attack.Feedback) (addr int, write bool, n int)
@@ -61,9 +62,9 @@ type FeedbackObserver interface {
 }
 
 // SweepSource is the consecutive-address counterpart of RunSource: the next
-// n requests are the same operation on addr, addr+1, …, addr+n-1 (no
-// wrapping within a sweep). The same feedback-independence and all-consumed
-// rules apply; schemes opt in via wl.SweepWriter.
+// n requests are writes to addr, addr+1, …, addr+n-1 (no wrapping within a
+// sweep). The same write-only, feedback-independence and all-consumed rules
+// apply; schemes opt in via wl.SweepWriter.
 type SweepSource interface {
 	Source
 	NextSweep(fb attack.Feedback) (addr int, write bool, n int)
@@ -151,80 +152,6 @@ func (w workloadSource) NextWrite() (int, int) { return w.g.NextWrite() }
 // is a WriteSource: lifetime runs skip resolving read addresses.
 func FromWorkload(g *trace.Synthetic) Source { return workloadSource{g} }
 
-// replayRec is a trace record with the address already folded into the
-// simulated page range, so replay pays the modulo once at construction
-// instead of once per request per loop.
-type replayRec struct {
-	addr  int
-	write bool
-}
-
-// replaySource loops a recorded trace forever.
-type replaySource struct {
-	recs []replayRec // snap: construction input (the recorded trace itself)
-	pos  int
-}
-
-// maxRunLength bounds how many requests a single NextRun commits to when
-// the underlying stream is unbounded (a uniform trace loops forever).
-const maxRunLength = 1 << 20
-
-// FromTrace wraps an in-memory trace, replayed in a loop (the paper's
-// methodology: "use the trace to simulate each benchmark's execution in
-// loops until a PCM page wears out"). Addresses are folded into
-// [0, pages) by modulo at construction time.
-func FromTrace(recs []trace.Record, pages int) (Source, error) {
-	if len(recs) == 0 {
-		return nil, errors.New("sim: empty trace")
-	}
-	if pages <= 0 {
-		return nil, errors.New("sim: pages must be positive")
-	}
-	folded := make([]replayRec, len(recs))
-	for i, rec := range recs {
-		folded[i] = replayRec{addr: int(rec.Addr % uint64(pages)), write: rec.Op == trace.Write}
-	}
-	return &replaySource{recs: folded}, nil
-}
-
-func (r *replaySource) Next(attack.Feedback) (int, bool) {
-	rec := r.recs[r.pos]
-	r.pos++
-	if r.pos == len(r.recs) {
-		r.pos = 0
-	}
-	return rec.addr, rec.write
-}
-
-// NextRun implements RunSource: the maximal prefix of identical records
-// starting at the replay position (wrapping across the loop seam). A fully
-// uniform trace would make every run one lap, so it is extended to whole
-// multiples of the trace up to maxRunLength.
-func (r *replaySource) NextRun(attack.Feedback) (int, bool, int) {
-	cur := r.recs[r.pos]
-	n := 1
-	pos := r.pos + 1
-	if pos == len(r.recs) {
-		pos = 0
-	}
-	for n < len(r.recs) && r.recs[pos] == cur {
-		n++
-		pos++
-		if pos == len(r.recs) {
-			pos = 0
-		}
-	}
-	r.pos = pos
-	if n == len(r.recs) {
-		// pos walked a whole lap (back to where it started); committing to
-		// whole extra laps keeps the position consistent.
-		if reps := maxRunLength / n; reps > 1 {
-			n *= reps
-		}
-	}
-	return cur.addr, cur.write, n
-}
-
 // LifetimeConfig controls a lifetime run.
 type LifetimeConfig struct {
 	// MaxDemandWrites caps the run; 0 means 2 × total endurance (beyond
@@ -262,6 +189,10 @@ type LifetimeConfig struct {
 	// be safe for concurrent use (an atomic flag, a context check).
 	Stop func() bool
 }
+
+// errReadRun is returned when a RunSource or SweepSource reports a run of
+// reads: runs and sweeps are writes.
+var errReadRun = errors.New("sim: bulk source returned a run of reads")
 
 // ErrRunStopped is returned (wrapped, with the demand count) when a run
 // winds down because LifetimeConfig.Stop reported true. It marks a

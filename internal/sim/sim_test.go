@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -14,41 +15,16 @@ import (
 	"twl/internal/wl/wltest"
 )
 
-func TestFromTraceLoops(t *testing.T) {
-	recs := []trace.Record{{Op: trace.Write, Addr: 1}, {Op: trace.Read, Addr: 2}}
-	src, err := FromTrace(recs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for loop := 0; loop < 3; loop++ {
-		a, w := src.Next(attack.Feedback{})
-		if a != 1 || !w {
-			t.Fatalf("loop %d first = %d,%v", loop, a, w)
-		}
-		a, w = src.Next(attack.Feedback{})
-		if a != 2 || w {
-			t.Fatalf("loop %d second = %d,%v", loop, a, w)
-		}
-	}
-}
+// readRunSource reports a run of reads, which no bulk source may do.
+type readRunSource struct{}
 
-func TestFromTraceFoldsAddresses(t *testing.T) {
-	recs := []trace.Record{{Op: trace.Write, Addr: 100}}
-	src, err := FromTrace(recs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, _ := src.Next(attack.Feedback{}); a != 100%8 {
-		t.Fatalf("address %d, want %d", a, 100%8)
-	}
-}
+func (readRunSource) Next(attack.Feedback) (int, bool)         { return 0, false }
+func (readRunSource) NextRun(attack.Feedback) (int, bool, int) { return 0, false, 1 }
 
-func TestFromTraceValidation(t *testing.T) {
-	if _, err := FromTrace(nil, 8); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	if _, err := FromTrace([]trace.Record{{Op: trace.Write}}, 0); err == nil {
-		t.Fatal("zero pages accepted")
+func TestReadRunRejected(t *testing.T) {
+	s := nowl.New(wltest.NewDevice(t, 64, 1))
+	if _, err := RunLifetime(s, readRunSource{}, LifetimeConfig{}); !errors.Is(err, errReadRun) {
+		t.Fatalf("err = %v, want errReadRun", err)
 	}
 }
 
@@ -304,43 +280,5 @@ func TestMemoryBoundednessOrdering(t *testing.T) {
 	}
 	if muV > 1 || muS < 0.3 {
 		t.Fatalf("boundedness out of expected band: %v %v", muV, muS)
-	}
-}
-
-// TestRunPerfQueueView: the queue statistics populate and make sense — the
-// bandwidth-saturating benchmark loads the channel far harder than the
-// trickle writer, and a scheme's queue is at least as busy as NOWL's.
-func TestRunPerfQueueView(t *testing.T) {
-	const pages = 256
-	run := func(name string) PerfResult {
-		bench, err := trace.BenchmarkByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := PerfConfig{Requests: 60000}
-		build := func() (wl.Scheme, error) {
-			return core.New(wltest.NewDevice(t, pages, 11), core.DefaultConfig(3))
-		}
-		baseline := func() (wl.Scheme, error) {
-			return nowl.New(wltest.NewDevice(t, pages, 11)), nil
-		}
-		res, err := RunPerf(bench, pages, 21, cfg, build, baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	vips := run("vips")
-	sc := run("streamcluster")
-	if vips.Queue.Served == 0 || sc.Queue.Served == 0 {
-		t.Fatal("queue view not populated")
-	}
-	if vips.Queue.Utilization <= sc.Queue.Utilization {
-		t.Fatalf("vips utilization %v not above streamcluster %v",
-			vips.Queue.Utilization, sc.Queue.Utilization)
-	}
-	if vips.Queue.BusyCycles < vips.BaselineQueue.BusyCycles {
-		t.Fatalf("scheme busy %d below baseline %d",
-			vips.Queue.BusyCycles, vips.BaselineQueue.BusyCycles)
 	}
 }

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical helpers the experiments use:
-// geometric mean (the paper's Gmean columns), arithmetic mean, standard
-// deviation and percentiles.
+// geometric mean (the paper's Gmean columns), arithmetic mean and standard
+// deviation.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -68,46 +67,4 @@ func sumSquares(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It does not modify xs.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile outside [0,100]")
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
 }

@@ -64,47 +64,3 @@ func TestStdDevSample(t *testing.T) {
 		t.Fatal("sample stddev not larger than population stddev")
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil || !almostEq(got, tc.want) {
-			t.Fatalf("P%v = %v (%v), want %v", tc.p, got, err, tc.want)
-		}
-	}
-	// Interpolation between ranks.
-	got, err := Percentile([]float64{1, 2}, 50)
-	if err != nil || !almostEq(got, 1.5) {
-		t.Fatalf("P50 of {1,2} = %v, want 1.5", got)
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Fatal("Percentile(nil) accepted")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("p=101 accepted")
-	}
-	// Input must not be mutated.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Fatal("Percentile mutated its input")
-	}
-	// Single element.
-	got, err = Percentile([]float64{7}, 99)
-	if err != nil || got != 7 {
-		t.Fatalf("single-element percentile = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v,%v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Fatal("MinMax(nil) accepted")
-	}
-}

@@ -1,15 +1,13 @@
 package trace
 
 import (
-	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
 
-// Fuzz targets guard the decoders against hostile or corrupt trace files:
-// they must return errors, never panic or loop. `go test` runs the seed
-// corpus; `go test -fuzz=Fuzz<Name>` explores further.
+// FuzzTextReader guards the decoder against hostile or corrupt trace files:
+// it must return errors, never panic or loop. `go test` runs the seed
+// corpus; `go test -fuzz=FuzzTextReader` explores further.
 
 func FuzzTextReader(f *testing.F) {
 	f.Add("W 1\nR 2\n")
@@ -27,83 +25,6 @@ func FuzzTextReader(f *testing.F) {
 			if rec.Op != Read && rec.Op != Write {
 				t.Fatalf("decoder produced invalid op %q", rec.Op)
 			}
-		}
-	})
-}
-
-func FuzzBinaryReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	w.Write(Record{Write, 300})
-	w.Write(Record{Read, 1 << 40})
-	w.Flush()
-	f.Add(buf.Bytes())
-	f.Add([]byte{'W', 0x80})
-	f.Add([]byte{0xFF})
-	f.Add([]byte{'R', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		r := NewBinaryReader(bytes.NewReader(in))
-		for i := 0; i < 10000; i++ {
-			rec, err := r.Read()
-			if err != nil {
-				return
-			}
-			if rec.Op != Read && rec.Op != Write {
-				t.Fatalf("decoder produced invalid op %q", rec.Op)
-			}
-		}
-	})
-}
-
-func FuzzNVMainReader(f *testing.F) {
-	f.Add("NVMV1\n125 W 0x2000 3f 0\n")
-	f.Add("1 R zzzz 0 0\n")
-	f.Add("1 W 0x 0\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		r, err := NewNVMainReader(strings.NewReader(in), 4096)
-		if err != nil {
-			t.Fatal(err) // constructor only rejects bad page sizes
-		}
-		for i := 0; i < 10000; i++ {
-			rec, err := r.Read()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-			if rec.Op != Read && rec.Op != Write {
-				t.Fatalf("decoder produced invalid op %q", rec.Op)
-			}
-		}
-	})
-}
-
-// FuzzBinaryRoundTrip: any record the writer accepts must decode back
-// bit-identically.
-func FuzzBinaryRoundTrip(f *testing.F) {
-	f.Add(uint64(0), true)
-	f.Add(uint64(1<<63), false)
-	f.Fuzz(func(t *testing.T, addr uint64, isWrite bool) {
-		op := Read
-		if isWrite {
-			op = Write
-		}
-		var buf bytes.Buffer
-		w := NewBinaryWriter(&buf)
-		if err := w.Write(Record{Op: op, Addr: addr}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r := NewBinaryReader(&buf)
-		got, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Op != op || got.Addr != addr {
-			t.Fatalf("round trip %v/%d -> %v/%d", op, addr, got.Op, got.Addr)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // Package trace provides memory-access traces for the benchmark
-// experiments: a record format with text and binary codecs, and a synthetic
-// PARSEC workload generator.
+// experiments: a record format with a text codec, and a synthetic PARSEC
+// workload generator.
 //
 // The paper collects traces from gem5 running the PARSEC suite (Table 2) and
 // replays them in loops until a PCM page wears out. gem5 and the PARSEC
@@ -14,7 +14,6 @@ package trace
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -118,89 +117,4 @@ func (t *Reader) Read() (Record, error) {
 		return Record{}, err
 	}
 	return Record{}, io.EOF
-}
-
-// BinaryWriter encodes records compactly: one opcode byte and a
-// little-endian varint address per record. Binary traces are ~6× smaller
-// than text and decode ~4× faster, which matters when replaying billions of
-// records.
-type BinaryWriter struct {
-	w   *bufio.Writer
-	n   int
-	buf [11]byte
-}
-
-// NewBinaryWriter returns a binary-format trace writer.
-func NewBinaryWriter(w io.Writer) *BinaryWriter {
-	return &BinaryWriter{w: bufio.NewWriter(w)}
-}
-
-// Write appends one record.
-func (b *BinaryWriter) Write(r Record) error {
-	if r.Op != Read && r.Op != Write {
-		return fmt.Errorf("trace: invalid op %q", r.Op)
-	}
-	b.buf[0] = byte(r.Op)
-	n := 1
-	v := r.Addr
-	for v >= 0x80 {
-		b.buf[n] = byte(v) | 0x80
-		v >>= 7
-		n++
-	}
-	b.buf[n] = byte(v)
-	n++
-	if _, err := b.w.Write(b.buf[:n]); err != nil {
-		return err
-	}
-	b.n++
-	return nil
-}
-
-// Count returns how many records have been written.
-func (b *BinaryWriter) Count() int { return b.n }
-
-// Flush flushes buffered output.
-func (b *BinaryWriter) Flush() error { return b.w.Flush() }
-
-// BinaryReader decodes the binary format.
-type BinaryReader struct {
-	r *bufio.Reader
-}
-
-// NewBinaryReader returns a binary-format trace reader.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{r: bufio.NewReader(r)}
-}
-
-// Read returns the next record, or io.EOF at end of input.
-func (b *BinaryReader) Read() (Record, error) {
-	opb, err := b.r.ReadByte()
-	if err != nil {
-		return Record{}, err
-	}
-	op := Op(opb)
-	if op != Read && op != Write {
-		return Record{}, fmt.Errorf("trace: corrupt stream: opcode 0x%02x", opb)
-	}
-	var addr uint64
-	var shift uint
-	for {
-		c, err := b.r.ReadByte()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return Record{}, io.ErrUnexpectedEOF
-			}
-			return Record{}, err
-		}
-		addr |= uint64(c&0x7F) << shift
-		if c < 0x80 {
-			break
-		}
-		shift += 7
-		if shift > 63 {
-			return Record{}, errors.New("trace: corrupt stream: varint overflow")
-		}
-	}
-	return Record{Op: op, Addr: addr}, nil
 }

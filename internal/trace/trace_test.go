@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTextRoundTrip(t *testing.T) {
@@ -64,106 +63,5 @@ func TestWriterRejectsBadOp(t *testing.T) {
 	w := NewWriter(io.Discard)
 	if err := w.Write(Record{Op: 'Z'}); err == nil {
 		t.Fatal("bad op accepted")
-	}
-	b := NewBinaryWriter(io.Discard)
-	if err := b.Write(Record{Op: 'Z'}); err == nil {
-		t.Fatal("binary bad op accepted")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	recs := []Record{{Write, 0}, {Read, 127}, {Write, 128}, {Read, 1<<63 - 1}, {Write, 300}}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewBinaryReader(&buf)
-	for i, want := range recs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-// TestBinaryRoundTripProperty: arbitrary address sequences survive the
-// binary codec bit-exactly.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	check := func(addrs []uint64) bool {
-		var buf bytes.Buffer
-		w := NewBinaryWriter(&buf)
-		for i, a := range addrs {
-			op := Read
-			if i%2 == 0 {
-				op = Write
-			}
-			if w.Write(Record{Op: op, Addr: a}) != nil {
-				return false
-			}
-		}
-		if w.Flush() != nil {
-			return false
-		}
-		r := NewBinaryReader(&buf)
-		for i, a := range addrs {
-			got, err := r.Read()
-			if err != nil || got.Addr != a {
-				return false
-			}
-			wantOp := Read
-			if i%2 == 0 {
-				wantOp = Write
-			}
-			if got.Op != wantOp {
-				return false
-			}
-		}
-		_, err := r.Read()
-		return err == io.EOF
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinaryReaderCorruptOpcode(t *testing.T) {
-	r := NewBinaryReader(bytes.NewReader([]byte{0xFF, 0x01}))
-	if _, err := r.Read(); err == nil {
-		t.Fatal("corrupt opcode accepted")
-	}
-}
-
-func TestBinaryReaderTruncatedVarint(t *testing.T) {
-	r := NewBinaryReader(bytes.NewReader([]byte{'W', 0x80}))
-	if _, err := r.Read(); err != io.ErrUnexpectedEOF {
-		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
-	}
-}
-
-func TestBinarySmallerThanText(t *testing.T) {
-	var tb, bb bytes.Buffer
-	tw := NewWriter(&tb)
-	bw := NewBinaryWriter(&bb)
-	for i := 0; i < 1000; i++ {
-		rec := Record{Op: Write, Addr: uint64(i * 1000)}
-		tw.Write(rec)
-		bw.Write(rec)
-	}
-	tw.Flush()
-	bw.Flush()
-	if bb.Len() >= tb.Len() {
-		t.Fatalf("binary %d bytes not smaller than text %d", bb.Len(), tb.Len())
 	}
 }

@@ -13,7 +13,6 @@
 package wl
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -275,12 +274,4 @@ func LogicalPages(s Scheme) int {
 		return z.LogicalPages()
 	}
 	return s.Device().Pages()
-}
-
-// ValidateLA bounds-checks a logical address against the device.
-func ValidateLA(dev *pcm.Device, la int) error {
-	if la < 0 || la >= dev.Pages() {
-		return fmt.Errorf("wl: logical address %d out of range [0,%d)", la, dev.Pages())
-	}
-	return nil
 }

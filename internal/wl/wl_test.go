@@ -58,26 +58,6 @@ func TestSortByEndurance(t *testing.T) {
 	}
 }
 
-func TestValidateLA(t *testing.T) {
-	geom := pcm.Geometry{Pages: 4, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1}
-	dev, err := pcm.NewDevice(geom, pcm.DefaultTiming(), []uint64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateLA(dev, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateLA(dev, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateLA(dev, 4); err == nil {
-		t.Fatal("LA 4 accepted on a 4-page device")
-	}
-	if err := ValidateLA(dev, -1); err == nil {
-		t.Fatal("negative LA accepted")
-	}
-}
-
 func TestLatencyConstantsMatchTable1(t *testing.T) {
 	// Table 1: "TWL control logic latency/ table latency: 5/10-cycle,
 	// RNG latency: 4-cycle".

@@ -66,8 +66,6 @@ type (
 	Benchmark = trace.Benchmark
 	// LifetimeResult summarizes a run-to-first-failure experiment.
 	LifetimeResult = sim.LifetimeResult
-	// PerfResult summarizes a normalized-execution-time experiment.
-	PerfResult = sim.PerfResult
 	// TWLConfig parameterizes the TWL engine directly.
 	TWLConfig = core.Config
 	// TWLEngine is the TWL scheme with its full API (PartnerOf, Config, …).
@@ -378,10 +376,6 @@ type (
 	// LifetimeConfig controls a lifetime run (caps, paranoid checking,
 	// metrics, tracing).
 	LifetimeConfig = sim.LifetimeConfig
-	// PerfConfig controls a performance run (request count, metrics); the
-	// memory-boundedness model's bandwidth anchor is the largest write
-	// bandwidth in the PARSEC table.
-	PerfConfig = sim.PerfConfig
 	// CheckpointConfig controls periodic run-state serialization and resume
 	// inside a LifetimeConfig.
 	CheckpointConfig = sim.CheckpointConfig
