@@ -47,6 +47,10 @@ func main() {
 		pprofPfx   = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
+	// -spare-frac has a non-zero default, so "given" means named on the
+	// command line.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	cliutil.Check("attacksim", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
@@ -55,6 +59,10 @@ func main() {
 		cliutil.NonNegativeInt("-replicate", *replicate),
 		cliutil.Fraction("-spare-frac", *spareFrac, true),
 		cliutil.Fraction("-retire-threshold", *retireThr, true),
+		cliutil.Requires("-spare-frac", set["spare-frac"], "-retire", *retire),
+		cliutil.Requires("-retire-threshold", set["retire-threshold"], "-retire", *retire),
+		cliutil.Requires("-trace-every", set["trace-every"], "-retire", *retire),
+		cliutil.Requires("-trace-every", set["trace-every"], "-trace", *traceFile != ""),
 	))
 	if !*fig6 && !*fig7 && !*retire && *replicate == 0 {
 		*fig6 = true

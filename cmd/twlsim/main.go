@@ -58,15 +58,17 @@ func main() {
 		printConfig()
 		return
 	}
-	bwSet := false
-	flag.Visit(func(f *flag.Flag) { bwSet = bwSet || f.Name == "bw" })
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	cliutil.Check("twlsim", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
 		cliutil.NonNegativeFloat("-endurance", *endurance),
 		cliutil.PositiveFloat("-bw", *bandwidth),
-		cliutil.Requires("-bw", bwSet, "-attack", *attackMode != ""),
+		cliutil.Requires("-bw", set["bw"], "-attack", *attackMode != ""),
 		cliutil.Exclusive("-attack", *attackMode != "", "-bench", *bench != ""),
+		cliutil.Requires("-trace-every", set["trace-every"], "-trace", *traceFile != ""),
+		cliutil.Requires("-checkpoint-every", set["checkpoint-every"], "-checkpoint", *ckptFile != ""),
 		cliutil.Requires("-resume", *resume, "-checkpoint", *ckptFile != ""),
 		cliutil.Fraction("-spare-frac", *spareFrac, true),
 		cliutil.Fraction("-retire-threshold", *retireThr, true),

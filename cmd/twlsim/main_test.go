@@ -78,6 +78,18 @@ func TestBandwidthRequiresAttack(t *testing.T) {
 	}
 }
 
+// TestCadenceFlagsRequireTheirOutput: -trace-every and -checkpoint-every
+// only set the cadence of -trace and -checkpoint, so either one alone would
+// be ignored; each is a usage error, rejected before any output.
+func TestCadenceFlagsRequireTheirOutput(t *testing.T) {
+	for _, flag := range []string{"-trace-every", "-checkpoint-every"} {
+		out, stderr, code := run(t, "-attack", "repeat", "-pages", "512", "-endurance", "5000", flag, "5")
+		if code != 2 || out != "" {
+			t.Errorf("%s without its file: exit %d, stdout %q; want exit 2 and no output (stderr %q)", flag, code, out, stderr)
+		}
+	}
+}
+
 var normalizedRow = regexp.MustCompile(`(?m)^normalized lifetime\s+(\S+)`)
 
 // TestAttackSizedToLogicalPages: an attack run addresses only the pages the

@@ -65,9 +65,6 @@ func (g Geometry) Capacity() int64 {
 // TotalPages returns the physical page count including the spare region.
 func (g Geometry) TotalPages() int { return g.Pages + g.SparePages }
 
-// LinesPerPage returns the number of lines in a page.
-func (g Geometry) LinesPerPage() int { return g.PageSize / g.LineSize }
-
 // Timing holds the latency parameters from Table 1, in CPU cycles.
 type Timing struct {
 	ReadCycles  int // array read (paper: 250)

@@ -47,9 +47,6 @@ func TestDefaultGeometryMatchesTable1(t *testing.T) {
 	if g.PageSize != 4096 || g.LineSize != 128 || g.Ranks != 4 || g.Banks != 32 {
 		t.Fatalf("geometry does not match Table 1: %+v", g)
 	}
-	if g.LinesPerPage() != 32 {
-		t.Fatalf("lines per page = %d, want 32", g.LinesPerPage())
-	}
 }
 
 func TestDefaultTimingMatchesTable1(t *testing.T) {

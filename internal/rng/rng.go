@@ -56,14 +56,22 @@ func (x *Xorshift) Seed(seed uint64) {
 	}
 }
 
-// Uint64 returns the next 64-bit value.
-func (x *Xorshift) Uint64() uint64 {
+// Step returns the generator advanced by one value, and that value, without
+// touching x. A hot loop can draw through a local copy held in a register
+// and store it back once: y := *x; y, u = y.Step(); …; *x = y.
+func (x Xorshift) Step() (Xorshift, uint64) {
 	s := x.state
 	s ^= s >> 12
 	s ^= s << 25
 	s ^= s >> 27
-	x.state = s
-	return s * 0x2545F4914F6CDD1D
+	return Xorshift{s}, s * 0x2545F4914F6CDD1D
+}
+
+// Uint64 returns the next 64-bit value.
+func (x *Xorshift) Uint64() uint64 {
+	var u uint64
+	*x, u = x.Step()
+	return u
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

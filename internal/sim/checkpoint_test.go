@@ -170,7 +170,9 @@ func TestCheckpointResumePerRequestPath(t *testing.T) {
 // and resumes it on writeLoop, and the reverse. Both loops stop the stream
 // right after a write and checkpoint the same loop and source state, so
 // either resume must match the uninterrupted run exactly. The handoff is
-// loop code, not scheme code, so two Fig. 8 schemes cover it.
+// loop code, so the Fig. 8 schemes cover it across writeLoop's branches:
+// NOWL absorbs whole bursts through WriteRun, BWL serves every cold-silent
+// write through writeOne, TWL_swp and SR mix the two.
 //
 // For run and sweep sources, a per-request checkpoint resumes on bulkLoop.
 // A checkpoint bulkLoop writes mid-run holds the unserved rest of a run the
@@ -178,7 +180,7 @@ func TestCheckpointResumePerRequestPath(t *testing.T) {
 // Resuming one with the fast path disabled must fail before a request is
 // served, and leave the checkpoint resumable on the fast path.
 func TestCheckpointResumeAcrossPaths(t *testing.T) {
-	for _, name := range []string{"TWL_swp", "SR"} {
+	for _, name := range []string{"TWL_swp", "SR", "NOWL", "BWL"} {
 		t.Run(name, func(t *testing.T) {
 			build := registryFactory(name)
 			baseline := ckptRunOne(t, build, "parsec", false, 0, nil)
@@ -390,46 +392,50 @@ func TestCheckpointFileFormat(t *testing.T) {
 // TestStopPreemption pins the preemption contract: a run whose Stop hook
 // fires winds down with ErrRunStopped after writing a final checkpoint, and
 // resuming that checkpoint with Stop unset completes bit-identically to a
-// run that was never preempted.
+// run that was never preempted. repeat stops bulkLoop, parsec writeLoop.
 func TestStopPreemption(t *testing.T) {
-	build := registryFactory("TWL_swp")
-	baseline := ckptRunOne(t, build, "repeat", false, 0, nil)
+	for _, kind := range []string{"repeat", "parsec"} {
+		t.Run(kind, func(t *testing.T) {
+			build := registryFactory("TWL_swp")
+			baseline := ckptRunOne(t, build, kind, false, 0, nil)
 
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	s := build(t)
-	polled := false
-	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
-		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence},
-		Stop:       func() bool { polled = true; return true },
-	})
-	if !errors.Is(err, ErrRunStopped) {
-		t.Fatalf("preempted run returned %v, want ErrRunStopped", err)
-	}
-	if !polled {
-		t.Fatal("Stop hook was never polled")
-	}
-	if res.FailedPage >= 0 {
-		t.Fatalf("preempted run reports a failed page: %+v", res)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint at the stop point: %v", err)
-	}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			s := build(t)
+			polled := false
+			res, err := RunLifetime(s, diffSource(t, kind, wl.LogicalPages(s)), LifetimeConfig{
+				Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence},
+				Stop:       func() bool { polled = true; return true },
+			})
+			if !errors.Is(err, ErrRunStopped) {
+				t.Fatalf("preempted run returned %v, want ErrRunStopped", err)
+			}
+			if !polled {
+				t.Fatal("Stop hook was never polled")
+			}
+			if res.FailedPage >= 0 {
+				t.Fatalf("preempted run reports a failed page: %+v", res)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("no checkpoint at the stop point: %v", err)
+			}
 
-	s2 := build(t)
-	resumed, err := RunLifetime(s2, diffSource(t, "repeat", wl.LogicalPages(s2)), LifetimeConfig{
-		Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence, Resume: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != baseline.res {
-		t.Errorf("resumed result differs from uninterrupted baseline:\n  resumed  %+v\n  baseline %+v", resumed, baseline.res)
-	}
-	dev := s2.Device()
-	for pp := 0; pp < dev.Pages(); pp++ {
-		if dev.Wear(pp) != baseline.wear[pp] || dev.Peek(pp) != baseline.payload[pp] {
-			t.Fatalf("page %d wear/payload diverged after preempted resume", pp)
-		}
+			s2 := build(t)
+			resumed, err := RunLifetime(s2, diffSource(t, kind, wl.LogicalPages(s2)), LifetimeConfig{
+				Checkpoint: &CheckpointConfig{Path: path, Every: ckptCadence, Resume: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed != baseline.res {
+				t.Errorf("resumed result differs from uninterrupted baseline:\n  resumed  %+v\n  baseline %+v", resumed, baseline.res)
+			}
+			dev := s2.Device()
+			for pp := 0; pp < dev.Pages(); pp++ {
+				if dev.Wear(pp) != baseline.wear[pp] || dev.Peek(pp) != baseline.payload[pp] {
+					t.Fatalf("page %d wear/payload diverged after preempted resume", pp)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"twl/internal/attack"
 	"twl/internal/obs"
@@ -221,23 +222,49 @@ func (l *lifetimeState) bulkLoop(next func(attack.Feedback) (int, bool, int), sw
 	return nil
 }
 
-// writeLoop serves a WriteSource: the reads in front of each write are
-// charged with one ReadN, then the write is served exactly as
-// perRequestLoop serves it. The stream stops after each write, so loop and
-// source state at every checkpoint equal the per-request loop's.
+// writeLoop serves a WriteSource one burst at a time: it asks for at most
+// boundedChunk writes, absorbs them through the scheme's WriteRun and
+// serves the event writes WriteRun declines through writeOne, as bulkLoop
+// does. Reads commute with writes (the ReadN contract: they only bump
+// counters at a fixed, never-blocked cost), so the reads in front of each
+// applied chunk are charged with one ReadN just before its accounting; the
+// feedback, trace progress events and invariant checks then see the state
+// the per-request loop leaves. Reads behind a write that wore a page out
+// are never charged, because the per-request loop stops at that write.
+// boundedChunk ends every burst at a cadence boundary and the source stops
+// right after its last write, so at every checkpoint and Stop poll the
+// loop and source state equal the per-request loop's.
 //
 //twl:hotpath
 func (l *lifetimeState) writeLoop(src WriteSource) error {
 	for l.demand < l.limit {
-		reads, addr := src.NextWrite()
-		if reads > 0 {
-			l.readN(reads)
-		}
-		if err := l.writeOne(addr); err != nil {
-			return err
-		}
-		if l.failed() {
-			return nil
+		addr, reads := src.NextWrites(l.boundedChunk(math.MaxInt))
+		charged := 0
+		for done := 0; done < len(reads); {
+			cost, absorbed := l.s.WriteRun(addr, l.demand, len(reads)-done)
+			// This step accounts the absorbed chunk, or the one event
+			// write WriteRun declined; the reads in front of it go first.
+			n := max(absorbed, 1)
+			done += n
+			if r := reads[done-1] - charged; r > 0 {
+				l.readN(r)
+			}
+			charged = reads[done-1]
+			if absorbed == 0 {
+				// Serve the event write exactly as the per-request loop
+				// would.
+				if err := l.writeOne(addr); err != nil {
+					return err
+				}
+			} else {
+				l.accountBulk(cost, absorbed)
+				if err := l.checkAt(); err != nil {
+					return err
+				}
+			}
+			if l.failed() {
+				return nil
+			}
 		}
 		if err := l.ckptAt(); err != nil {
 			return err

@@ -9,7 +9,7 @@ import (
 
 // benchKinds are the source kinds BenchmarkFastForward times: repeat and
 // inconsistent drive bulkLoop's run path, scan its sweep path, and parsec
-// (canneal) writeLoop's batched reads. The random attack has no run
+// (canneal) writeLoop's same-page bursts. The random attack has no run
 // structure for a fast path to absorb.
 var benchKinds = []string{"repeat", "scan", "inconsistent", "parsec"}
 

@@ -38,7 +38,7 @@ const (
 // diffKinds are the differential source kinds: each fast loop against the
 // per-request reference. repeat and inconsistent drive bulkLoop's run path
 // (inconsistent with deferred feedback), scan its sweep path, and parsec
-// writeLoop's batched reads.
+// writeLoop's bursts (WriteRun with the reads in front charged by ReadN).
 var diffKinds = []string{"repeat", "scan", "inconsistent", "parsec"}
 
 // diffSource builds the request source for one differential run, sized to
@@ -61,18 +61,24 @@ func diffSource(t testing.TB, kind string, pages int) Source {
 		}
 		return FromAttack(st)
 	case "parsec":
-		b, err := trace.BenchmarkByName("canneal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := trace.NewSynthetic(b, pages, diffSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FromWorkload(g)
+		return FromWorkload(diffWorkload(t, pages))
 	}
 	t.Fatalf("unknown source kind %q", kind)
 	return nil
+}
+
+// diffWorkload builds the parsec kind's generator: canneal over pages.
+func diffWorkload(t testing.TB, pages int) *trace.Synthetic {
+	t.Helper()
+	b, err := trace.BenchmarkByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := trace.NewSynthetic(b, pages, diffSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // metricsJSON renders the registry as JSON with the twl_ff_* and twl_ckpt_*
@@ -240,6 +246,31 @@ func TestFastForwardDifferential(t *testing.T) {
 				diffCompare(t, registryFactory(name), kind)
 			})
 		}
+	}
+}
+
+// TestParsecFailsInsideBurst pins what makes the NOWL/parsec differential
+// cell cover writeLoop's read truncation: its page dies inside a burst, so
+// the chunk WriteRun clamps at the failing write still holds writes (and
+// the reads between them) that the per-request loop never served. After
+// the per-request run, the generator's burst is unfinished: its next write
+// goes to the page that failed (NOWL maps every page to itself).
+func TestParsecFailsInsideBurst(t *testing.T) {
+	s := registryFactory("NOWL")(t)
+	g := diffWorkload(t, wl.LogicalPages(s))
+	res, err := RunLifetime(s, FromWorkload(g), LifetimeConfig{
+		MaxDemandWrites:    3 * s.Device().TotalEndurance(),
+		DisableFastForward: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedPage < 0 {
+		t.Fatalf("run did not fail: %+v", res)
+	}
+	if addr, _ := g.NextWrites(1); addr != res.FailedPage {
+		t.Fatalf("page %d failed at the end of its burst (next write goes to page %d); pick a cell that fails inside one",
+			res.FailedPage, addr)
 	}
 }
 

@@ -71,15 +71,20 @@ type SweepSource interface {
 }
 
 // WriteSource is the extension a feedback-independent Source implements
-// when its reads need no address: NextWrite advances the stream through its
-// next write and returns how many reads preceded it and the write's
-// address. RunLifetime charges those reads with one wl.Scheme.ReadN call, so
-// the stream never resolves a read's page. NextWrite must leave the stream
-// exactly where the per-request Next calls serving the same requests would,
-// so a checkpoint taken on either loop resumes on the other.
+// when its reads need no address and its writes come in same-address
+// bursts: NextWrites advances the stream through up to max > 0 writes to
+// one address and returns that address and, per write, the running count of
+// reads in front of it since the call began (reads[k-1] is the read total
+// in front of the first k writes). The slice may be the source's own
+// buffer, valid until the next call. RunLifetime absorbs the writes through
+// wl.Scheme.WriteRun and charges the reads in front of the applied writes
+// with one ReadN call per chunk, so the stream never resolves a read's
+// page. NextWrites must leave the stream exactly where the per-request Next
+// calls serving the same requests would, so a checkpoint taken on either
+// loop resumes on the other.
 type WriteSource interface {
 	Source
-	NextWrite() (reads, addr int)
+	NextWrites(max int) (addr int, reads []int)
 }
 
 // attackSource adapts an attack.Stream (write-only) to Source.
@@ -146,10 +151,11 @@ type workloadSource struct{ g *trace.Synthetic }
 
 func (w workloadSource) Next(attack.Feedback) (int, bool) { return w.g.Next() }
 
-func (w workloadSource) NextWrite() (int, int) { return w.g.NextWrite() }
+func (w workloadSource) NextWrites(max int) (int, []int) { return w.g.NextWrites(max) }
 
 // FromWorkload wraps a benchmark generator as a request source. The source
-// is a WriteSource: lifetime runs skip resolving read addresses.
+// is a WriteSource: lifetime runs serve each write burst through the
+// scheme's WriteRun and skip resolving read addresses.
 func FromWorkload(g *trace.Synthetic) Source { return workloadSource{g} }
 
 // LifetimeConfig controls a lifetime run.
@@ -170,8 +176,8 @@ type LifetimeConfig struct {
 	// wear-histogram snapshot), and an end event with the run summary.
 	Trace *obs.Tracer
 	// DisableFastForward forces the per-request loop even when the source
-	// and scheme support run-length fast-forwarding or the source batches
-	// its reads (WriteSource). The fast paths are bit-identical by contract
+	// and scheme support run-length fast-forwarding or the source serves
+	// write bursts (WriteSource). The fast paths are bit-identical by contract
 	// (the differential tests pin them), so this exists for those tests and
 	// for benchmarking the paths against each other.
 	DisableFastForward bool
@@ -418,9 +424,9 @@ func RunLifetime(s wl.Scheme, src Source, cfg LifetimeConfig) (LifetimeResult, e
 
 	// Fast-forward when the source can emit runs/sweeps; the bulk loop
 	// serves a sweep per-request (bit-identically) over a scheme without a
-	// sweep fast path. A WriteSource batches the reads in front of each write. The
-	// per-request loop remains for plain sources and for callers that pin
-	// the baseline path.
+	// sweep fast path. A WriteSource's bursts go through WriteRun with
+	// their reads batched. The per-request loop remains for plain sources
+	// and for callers that pin the baseline path.
 	var err error
 	if cfg.DisableFastForward {
 		err = l.perRequestLoop(src)

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers the experiments use:
-// geometric mean (the paper's Gmean columns), arithmetic mean and standard
-// deviation.
+// geometric mean (the paper's Gmean columns), arithmetic mean and sample
+// standard deviation.
 package stats
 
 import (
@@ -35,17 +35,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(logSum / float64(len(xs))), nil
 }
 
-// StdDev returns the population standard deviation of xs (÷n). Use it when
-// xs IS the whole population — e.g. the wear counters of every page in a
-// simulated device. For a sample drawn from a larger population (replicated
-// runs over a handful of seeds) use StdDevSample.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return math.Sqrt(sumSquares(xs) / float64(len(xs)))
-}
-
 // StdDevSample returns the sample standard deviation of xs with Bessel's
 // correction (÷n−1) — the unbiased-variance estimator for error bars over
 // replicated measurements. It returns 0 for fewer than two values, where no
@@ -54,17 +43,11 @@ func StdDevSample(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	return math.Sqrt(sumSquares(xs) / float64(len(xs)-1))
-}
-
-// sumSquares is the summed squared deviation from the mean shared by both
-// standard-deviation estimators.
-func sumSquares(xs []float64) float64 {
 	m := Mean(xs)
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
 		sum += d * d
 	}
-	return sum
+	return math.Sqrt(sum / float64(len(xs)-1))
 }

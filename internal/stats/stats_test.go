@@ -36,19 +36,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev(nil) != 0 {
-		t.Fatal("StdDev(nil) != 0")
-	}
-	if !almostEq(StdDev([]float64{5, 5, 5}), 0) {
-		t.Fatal("constant StdDev != 0")
-	}
-	// Population stddev of {2,4,4,4,5,5,7,9} is 2.
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(got, 2) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestStdDevSample(t *testing.T) {
 	if StdDevSample(nil) != 0 || StdDevSample([]float64{3}) != 0 {
 		t.Fatal("StdDevSample of <2 values != 0")
@@ -58,9 +45,10 @@ func TestStdDevSample(t *testing.T) {
 	if got := StdDevSample([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(got, want) {
 		t.Fatalf("StdDevSample = %v, want %v", got, want)
 	}
-	// Bessel's correction always widens the estimate over the population σ.
+	// Bessel's correction always widens the estimate over the population σ:
+	// {1,2,6,9} has mean 4.5 and sum of squares 41, so σ = √(41/4).
 	xs := []float64{1, 2, 6, 9}
-	if StdDevSample(xs) <= StdDev(xs) {
+	if StdDevSample(xs) <= math.Sqrt(41.0/4) {
 		t.Fatal("sample stddev not larger than population stddev")
 	}
 }

@@ -131,8 +131,16 @@ type Synthetic struct {
 	burstLeft int
 	gapWrites float64 // snap: derived at NewSynthetic; GapFactor × pages
 
+	// writeBelow is the read/write decision as an integer threshold on a
+	// raw draw u: Float64() < WriteFraction exactly when u>>11 < writeBelow
+	// (see NewSynthetic).
+	writeBelow uint64 // snap: derived at NewSynthetic from WriteFraction
+	// readsBuf holds NextWrites' per-write read counts; it is sized to the
+	// longest burst, so serving never allocates.
+	readsBuf []int // snap: scratch, rewritten by every NextWrites call
+
 	// guide resolves read ranks for Next. It is built on the first read
-	// Next serves, so streams consumed through NextWrite never allocate it.
+	// Next serves, so streams consumed through NextWrites never allocate it.
 	guide guideTable // snap: derived from cdf on first use
 }
 
@@ -162,9 +170,16 @@ func NewSynthetic(bench Benchmark, pages int, seed uint64) (*Synthetic, error) {
 		gf = DefaultGapFactor
 	}
 	g.gapWrites = float64(gf) * float64(g.footprint)
+	// u>>11 < 2^53 converts to float64 exactly and the division by 2^53 in
+	// Float64 is exact, so Float64() < WriteFraction ⇔ u>>11 < w·2^53 ⇔
+	// u>>11 < ceil(w·2^53); w·2^53 is itself exact (a power-of-two scale).
+	g.writeBelow = uint64(math.Ceil(bench.WriteFraction * (1 << 53)))
 	g.s = solveZipfExponent(g.footprint, r*float64(pages))
 	g.buildCDF()
 	g.buildPerm(seed)
+	// pdf[0] is the largest weight (s >= 0), so no burst is longer: at
+	// most 117 writes (canneal) for the Table 2 benchmarks at any page count.
+	g.readsBuf = make([]int, int(g.pdf[0]*g.gapWrites)+1)
 	return g, nil
 }
 
@@ -249,32 +264,63 @@ func (g *Synthetic) samplePage() int {
 // Writes follow the bursty Zipf process; reads sample the same locality
 // independently (read placement does not affect wear).
 func (g *Synthetic) Next() (addr int, write bool) {
-	if g.src.Float64() >= g.bench.WriteFraction {
+	if g.src.Uint64()>>11 >= g.writeBelow {
 		return g.samplePage(), false
 	}
-	return g.burstWrite(), true
+	if g.burstLeft <= 0 {
+		g.startBurst()
+	}
+	g.burstLeft--
+	return g.burstPage, true
 }
 
-// NextWrite advances the stream through its next write and returns how many
-// reads preceded it and the write's page. Each read consumes the same RNG
-// draws as under Next, but its page is never resolved, so a caller that
-// does not need read addresses skips the rank lookup. The stream stops
-// right after the returned write: the generator's state then equals the
-// state a Next caller reaches after the same write, so Snapshot bytes and
-// the continuation of either method agree.
+// NextWrites advances the stream through up to max writes of the current
+// burst (max must be positive) and returns their page and, for each write,
+// how many reads the stream served since the call began before it
+// (reads[i] counts the reads in front of writes 0..i, so reads[k-1] is the
+// read total in front of the first k). The slice is the generator's own
+// buffer, valid until the next call. Each read consumes the same RNG draws
+// as under Next, but its page is never resolved. The stream stops right
+// after the last returned write and never starts the burst after it, so
+// the generator's state equals the state a Next caller reaches after the
+// same write: Snapshot bytes and the continuation of either method agree.
 //
 //twl:hotpath
-func (g *Synthetic) NextWrite() (reads, addr int) {
-	for g.src.Float64() >= g.bench.WriteFraction {
-		g.src.Uint64() // the read's page draw (samplePage's Float64)
-		reads++
+func (g *Synthetic) NextWrites(max int) (addr int, reads []int) {
+	x, below := *g.src, g.writeBelow
+	var u uint64
+	seen := 0
+	for {
+		if x, u = x.Step(); u>>11 < below {
+			break
+		}
+		x, _ = x.Step() // the read's page draw (samplePage's Float64)
+		seen++
 	}
-	return reads, g.burstWrite()
+	if g.burstLeft <= 0 {
+		*g.src = x
+		g.startBurst()
+		x = *g.src
+	}
+	buf := g.readsBuf[:min(max, g.burstLeft, len(g.readsBuf))]
+	g.burstLeft -= len(buf)
+	buf[0] = seen
+	for i := 1; i < len(buf); i++ {
+		for {
+			if x, u = x.Step(); u>>11 < below {
+				break
+			}
+			x, _ = x.Step()
+			seen++
+		}
+		buf[i] = seen
+	}
+	*g.src = x
+	return g.burstPage, buf
 }
 
-// burstWrite serves one write from the burst machine, starting the next
-// burst when the current one is spent.
-func (g *Synthetic) burstWrite() int {
+// startBurst begins the next non-empty burst of the round-robin sweep.
+func (g *Synthetic) startBurst() {
 	for g.burstLeft <= 0 {
 		// Round-robin arrival, rate-proportional length (probabilistically
 		// rounded so even tail pages keep their exact long-run share).
@@ -290,8 +336,6 @@ func (g *Synthetic) burstWrite() int {
 		}
 		g.burstPage = g.perm[rank]
 	}
-	g.burstLeft--
-	return g.burstPage
 }
 
 // HottestShare returns the designed write share of the hottest page.

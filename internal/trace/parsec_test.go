@@ -200,48 +200,75 @@ func BenchmarkSyntheticNext(b *testing.B) {
 	}
 }
 
-// TestNextWriteMatchesNext: NextWrite returns the read count and write page
-// the per-request Next stream produces, and leaves the generator in the same
-// state (identical Snapshot bytes) after every write, so a stream can switch
-// between the two methods at any write boundary.
-func TestNextWriteMatchesNext(t *testing.T) {
+func BenchmarkSyntheticNextWrites(b *testing.B) {
+	bench, _ := BenchmarkByName("canneal")
+	g, err := NewSynthetic(bench, 1<<14, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		_, reads := g.NextWrites(b.N - n)
+		n += len(reads)
+	}
+}
+
+// TestNextWritesMatchesNext: every write NextWrites returns has the page
+// and preceding read count of the same write in the per-request Next
+// stream, one call serves 1..max writes of a single burst, and after every
+// call the generator's state (Snapshot bytes) equals the state a Next
+// caller reaches after the same write — so a stream can switch between the
+// two methods at any call boundary, and a call never starts the burst
+// after the one it served.
+func TestNextWritesMatchesNext(t *testing.T) {
 	for _, b := range PARSEC() {
-		batched, err := NewSynthetic(b, 512, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := NewSynthetic(b, 512, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb, ss bytes.Buffer
-		for w := 0; w < 20000; w++ {
-			reads, addr := batched.NextWrite()
-			n := 0
-			for {
-				a, write := serial.Next()
-				if write {
-					if a != addr || n != reads {
-						t.Fatalf("%s write %d: NextWrite (%d reads, page %d), Next (%d reads, page %d)",
-							b.Name, w, reads, addr, n, a)
-					}
-					break
+		for _, max := range []int{1, 2, 5, 1 << 30} {
+			batched, err := NewSynthetic(b, 512, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := NewSynthetic(b, 512, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb, ss bytes.Buffer
+			calls := 0
+			for w := 0; w < 20000; calls++ {
+				addr, reads := batched.NextWrites(max)
+				if len(reads) < 1 || len(reads) > max {
+					t.Fatalf("%s max %d write %d: NextWrites served %d writes", b.Name, max, w, len(reads))
 				}
-				n++
+				prev := 0
+				for i, cum := range reads {
+					n := 0
+					for {
+						a, write := serial.Next()
+						if write {
+							if a != addr || n != cum-prev {
+								t.Fatalf("%s max %d write %d: NextWrites (%d reads, page %d), Next (%d reads, page %d)",
+									b.Name, max, w+i, cum-prev, addr, n, a)
+							}
+							break
+						}
+						n++
+					}
+					prev = cum
+				}
+				w += len(reads)
+				sb.Reset()
+				ss.Reset()
+				if err := batched.Snapshot(&sb); err != nil {
+					t.Fatal(err)
+				}
+				if err := serial.Snapshot(&ss); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sb.Bytes(), ss.Bytes()) {
+					t.Fatalf("%s max %d after write %d: snapshots differ", b.Name, max, w)
+				}
 			}
-			if w%1000 != 0 {
-				continue
-			}
-			sb.Reset()
-			ss.Reset()
-			if err := batched.Snapshot(&sb); err != nil {
-				t.Fatal(err)
-			}
-			if err := serial.Snapshot(&ss); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sb.Bytes(), ss.Bytes()) {
-				t.Fatalf("%s write %d: snapshots differ", b.Name, w)
+			if max > 1 && calls == 20000 {
+				t.Fatalf("%s max %d: every call served one write", b.Name, max)
 			}
 		}
 	}

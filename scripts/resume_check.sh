@@ -7,29 +7,30 @@
 # report to be byte-identical to the baseline. This is the shell-level
 # counterpart of internal/sim's differential tests: it exercises the real
 # binary, a real kill -9, and the atomic checkpoint file on a real
-# filesystem. It checks two runs of the same cell: a plain one that ends at
-# the first page failure, and one with a spare pool whose retirement
-# decorator carries the run past it.
+# filesystem. It checks three runs: an attack cell that ends at the first
+# page failure, the same cell with a spare pool whose retirement decorator
+# carries the run past it, and a PARSEC cell, which takes the burst loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# The workload must run long enough that the kill lands mid-simulation. The
-# inconsistent attack goes through the bulk loop, but at this endurance a
-# run still takes over a second, and the first checkpoint lands early in it.
-args=(-scheme TWL_swp -attack inconsistent -pages 1024 -endurance 200000 -seed 3)
+# Each workload must run long enough that the kill lands mid-simulation: at
+# these sizes a run takes one to two seconds on a 2-vCPU VM, and the first
+# checkpoint lands early in it.
+attack=(-scheme TWL_swp -attack inconsistent -pages 1024 -endurance 200000 -seed 3)
+parsec=(-scheme TWL_swp -bench canneal -pages 1024 -endurance 50000 -seed 3)
 
 echo "resume_check: building twlsim"
 go build -o "$work/twlsim" ./cmd/twlsim
 
-# check LABEL [EXTRA_ARGS...] runs the baseline, kill and resume legs for
-# args plus EXTRA_ARGS.
+# check LABEL ARGS... runs the baseline, kill and resume legs of the twlsim
+# run given by ARGS.
 check() {
     local label="$1"
     shift
-    local run=("${args[@]}" "$@")
+    local run=("$@")
     local ckpt="$work/$label.ckpt"
 
     echo "resume_check[$label]: baseline run"
@@ -72,5 +73,6 @@ check() {
     echo "resume_check[$label]: OK — resumed run is byte-identical to the baseline"
 }
 
-check plain
-check retire -spare-frac 0.03
+check plain "${attack[@]}"
+check retire "${attack[@]}" -spare-frac 0.03
+check parsec "${parsec[@]}"
