@@ -21,9 +21,10 @@ vet:
 	cd perfbench && go vet ./...
 
 # Project-specific static contracts that go vet cannot check (determinism,
-# registry, cost accounting, typed atomics, concurrency discipline, hotpath
-# allocation budget) — see DESIGN.md "Static contracts". No finding can be
-# silenced; the hotpath escape-analysis budget lives in twlint.budget.
+# cost accounting, typed atomics, checkpoint completeness, decorator
+# interception, concurrency discipline, hotpath allocation budget) — see
+# DESIGN.md "Static contracts". No finding can be silenced; the hotpath
+# escape-analysis budget lives in twlint.budget.
 lint:
 	go run ./cmd/twlint -budget twlint.budget ./...
 
@@ -47,7 +48,7 @@ benchsmoke:
 	go test ./internal/sim -run '^$$' -bench FastForward -benchtime=1x
 
 # Hot-loop benchmark: full lifetime runs at SmallSystem scale through the
-# fast paths and through the per-request loop, for every registered scheme
+# fast paths and through the per-request loop, for every scheme of the table
 # under the repeat, scan and inconsistent attacks and the canneal workload.
 # Prints the rows and writes no file; the speedup of a cell is the ratio of
 # its perwrite and fast ns/op. Changes are gated on perfbench/ and

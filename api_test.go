@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// TestSchemeNamesRoundTrip pins the registry contract: every name listed by
-// SchemeNames constructs via NewScheme, and the scheme reports that exact
-// name back. This is the consistency the old hardcoded switch could not
-// guarantee (SR2 was constructible but unlisted).
+// TestSchemeNamesRoundTrip pins the facade's scheme contract: every name
+// listed by SchemeNames constructs via NewScheme, and the scheme reports
+// that exact name back. This is the consistency the old hardcoded switch
+// could not guarantee (SR2 was constructible but unlisted).
 func TestSchemeNamesRoundTrip(t *testing.T) {
 	names := SchemeNames()
 	if len(names) == 0 {
-		t.Fatal("no registered schemes")
+		t.Fatal("no schemes")
 	}
 	sys := SmallSystem(11)
 	seen := map[string]bool{}
@@ -33,13 +33,38 @@ func TestSchemeNamesRoundTrip(t *testing.T) {
 			t.Fatalf("NewScheme(%q): %v", name, err)
 		}
 		if s.Name() != name {
-			t.Errorf("NewScheme(%q).Name() = %q; registry and scheme disagree", name, s.Name())
+			t.Errorf("NewScheme(%q).Name() = %q; table and scheme disagree", name, s.Name())
 		}
 	}
 	for _, required := range []string{"TWL_swp", "SR2", "OD3P", "RBSG", "NOWL"} {
 		if !seen[required] {
 			t.Errorf("SchemeNames() omits %s", required)
 		}
+	}
+}
+
+// TestSRCellNamedSR: the Fig. 6/8 SR bar — the endurance-rescaled
+// two-level scheme lifetimeScheme builds — reports itself as SR, and SR2
+// names only the full-scale two-level scheme.
+func TestSRCellNamedSR(t *testing.T) {
+	sys := SmallSystem(1)
+	res, err := RunAttackCell(sys, "SR", AttackInconsistent, LifetimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scheme != "SR" {
+		t.Errorf("RunAttackCell(SR).Scheme = %q, want SR", res.Scheme)
+	}
+	dev, err := sys.NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheme("SR2", dev, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name() != "SR2" {
+		t.Errorf("NewScheme(SR2).Name() = %q, want SR2", s.Name())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"twl/internal/core"
 	"twl/internal/hwcost"
 	"twl/internal/pcm"
+	"twl/internal/schemes"
 	"twl/internal/sim"
 	"twl/internal/stats"
 	"twl/internal/trace"
@@ -29,7 +30,7 @@ const Fig6AttackBandwidth = 8e9
 // be artificially crippled (interval 128 at full scale corresponds to a far
 // finer interval on a 20000-write array). See EXPERIMENTS.md, "Scaling".
 func lifetimeScheme(name string, dev *Device, seed uint64, sys SystemConfig) (Scheme, error) {
-	if reg, ok := wl.Default.Lookup(name); ok && reg.Name == "SR" {
+	if e, ok := schemes.Lookup(name); ok && e.Name == "SR" {
 		cfg := secref.DefaultTwoLevelConfig(sys.Pages, sys.MeanEndurance, seed)
 		return secref.NewTwoLevel(dev, cfg)
 	}

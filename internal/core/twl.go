@@ -670,35 +670,3 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.rebuildRepLA()
 	return nil
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:    "TWL_swp",
-		Aliases: []string{"TWL"},
-		Order:   40,
-		Doc:     "toss-up wear leveling, strong-weak pairing (the paper's contribution)",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(seed))
-		},
-	})
-	wl.Register(wl.Registration{
-		Name:  "TWL_ap",
-		Order: 30,
-		Doc:   "toss-up wear leveling, adjacent pairing",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			cfg := DefaultConfig(seed)
-			cfg.Pairing = Adjacent
-			return New(dev, cfg)
-		},
-	})
-	wl.Register(wl.Registration{
-		Name:  "TWL_rand",
-		Order: 60,
-		Doc:   "toss-up wear leveling, random pairing",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			cfg := DefaultConfig(seed)
-			cfg.Pairing = Random
-			return New(dev, cfg)
-		},
-	})
-}

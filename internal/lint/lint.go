@@ -14,8 +14,6 @@
 //   - determinism: simulation packages must not read wall clocks
 //     (time.Now/time.Since outside internal/clock), draw from the global
 //     math/rand source, or leak map iteration order into results.
-//   - registry: every internal/wl/<name> package exporting a scheme must
-//     register it with wl.Register.
 //   - cost: call sites must not silently discard a returned wl.Cost or
 //     error in non-test code; dropped costs corrupt Figure 9, dropped
 //     errors hide failures.
@@ -64,7 +62,6 @@ type Analyzer struct {
 // and runs as a separate phase (see CheckBudget).
 var Analyzers = []*Analyzer{
 	determinismAnalyzer,
-	registryAnalyzer,
 	costAnalyzer,
 	locksAnalyzer,
 	snapshotAnalyzer,

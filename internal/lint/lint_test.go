@@ -11,15 +11,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files from current analyzer output")
 
 // fixtures maps each analyzer to its fixture package. The synthetic import
-// paths matter: determinism only covers twl/internal/..., and registry's
-// rule only engages for packages directly under twl/internal/wl/.
+// paths matter: determinism only covers packages under twl/internal/.
 var fixtures = []struct {
 	analyzer *Analyzer
 	dir      string
 	path     string
 }{
 	{determinismAnalyzer, "fixdet", "twl/internal/fixdet"},
-	{registryAnalyzer, "fixreg", "twl/internal/wl/fixreg"},
 	{costAnalyzer, "fixcost", "twl/internal/fixcost"},
 	{locksAnalyzer, "fixlocks", "twl/internal/fixlocks"},
 	{snapshotAnalyzer, "fixsnap", "twl/internal/fixsnap"},

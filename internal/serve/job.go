@@ -9,6 +9,7 @@ import (
 	"twl"
 	"twl/internal/cache"
 	"twl/internal/obs"
+	"twl/internal/schemes"
 )
 
 // JobSpec is the wire format of one experiment grid: the cross product of
@@ -17,8 +18,8 @@ import (
 // defaults, so a minimal job is just
 // {"schemes": ["TWL_swp"], "attacks": ["repeat"]}.
 type JobSpec struct {
-	// Schemes lists the wear-leveling schemes (SchemeNames vocabulary,
-	// case-insensitive; canonicalized on submit).
+	// Schemes lists the wear-leveling schemes (SchemeNames vocabulary and
+	// its aliases, case-insensitive; canonicalized on submit).
 	Schemes []string `json:"schemes"`
 	// Attacks and Benches list the workloads; at least one of the two must
 	// be non-empty. Every scheme runs against every workload.
@@ -77,17 +78,13 @@ func (sp *JobSpec) normalize() error {
 	if len(sp.Attacks)+len(sp.Benches) == 0 {
 		return fmt.Errorf("serve: job needs at least one attack or bench workload")
 	}
-	canon := map[string]string{}
-	for _, name := range twl.SchemeNames() {
-		canon[strings.ToLower(name)] = name
-	}
 	for i, name := range sp.Schemes {
-		c, ok := canon[strings.ToLower(name)]
+		e, ok := schemes.Lookup(name)
 		if !ok {
 			return fmt.Errorf("serve: unknown scheme %q (known: %s)",
-				name, strings.Join(twl.SchemeNames(), ", "))
+				name, strings.Join(schemes.Names(), ", "))
 		}
-		sp.Schemes[i] = c
+		sp.Schemes[i] = e.Name
 	}
 	sp.Schemes = dedupe(sp.Schemes)
 	for _, name := range sp.Attacks {
@@ -196,6 +193,10 @@ func (c *cell) sourceKind() (kind, name string) {
 // v2 dropped v1's storage-layout field (one layout remains, and it never
 // changed a result) and marks the sizing of bench workloads to the
 // scheme's logical pages, which changed StartGap's bench results.
+// v3 marks sharded cells built as unsharded ones are (SR's rescaled
+// two-level scheme, attacks over the scheme's logical pages), which changed
+// sharded SR, StartGap and RBSG results, and SR results labelled "SR"
+// instead of "SR2".
 func cellMaterial(sp JobSpec, scheme, source string, seed uint64) string {
 	shards := sp.Shards
 	if strings.HasPrefix(source, "bench:") {
@@ -203,7 +204,7 @@ func cellMaterial(sp JobSpec, scheme, source string, seed uint64) string {
 	}
 	sys := sp.system(seed)
 	return fmt.Sprintf(
-		"twlcell/v2|scheme=%s|source=%s|pages=%d|page_size=%d|mean_endurance=%g|sigma_fraction=%g|seed=%d|shards=%d|cap=%d",
+		"twlcell/v3|scheme=%s|source=%s|pages=%d|page_size=%d|mean_endurance=%g|sigma_fraction=%g|seed=%d|shards=%d|cap=%d",
 		scheme, source, sys.Pages, sys.PageSize, sys.MeanEndurance, sys.SigmaFraction,
 		sys.Seed, shards, sp.MaxDemandWrites)
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,25 @@ func TestJobSpecValidation(t *testing.T) {
 	}
 	if len(sp.Seeds) != 1 || sp.Seeds[0] != 1 {
 		t.Errorf("default seeds = %v, want [1]", sp.Seeds)
+	}
+
+	// Aliases resolve as every other entry point resolves them, to the
+	// canonical name, and an alias beside its canonical name is one cell.
+	for alias, want := range map[string]string{"TWL": "TWL_swp", "sg": "StartGap", "start-gap": "StartGap"} {
+		sp := JobSpec{Schemes: []string{alias}, Attacks: []string{"repeat"}}
+		if err := sp.normalize(); err != nil {
+			t.Fatalf("alias %q: %v", alias, err)
+		}
+		if sp.Schemes[0] != want {
+			t.Errorf("alias %q canonicalized to %q, want %q", alias, sp.Schemes[0], want)
+		}
+	}
+	dup := JobSpec{Schemes: []string{"TWL", "TWL_swp"}, Attacks: []string{"repeat"}}
+	if err := dup.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if cells := buildCells(dup); len(cells) != 1 || cells[0].Scheme != "TWL_swp" {
+		t.Errorf("[TWL TWL_swp] expands to %d cells (%v), want one TWL_swp cell", len(cells), dup.Schemes)
 	}
 }
 
@@ -466,6 +486,39 @@ func TestShardedDifferential(t *testing.T) {
 	}
 	if got := b.Result.toLifetime(); got != wantBench {
 		t.Errorf("bench cell diverged:\n  service %+v\n  direct  %+v", got, wantBench)
+	}
+}
+
+// TestShardedRBSGJobDone: RBSG under scan and random, sharded, settles
+// done, and the server keeps answering. These cells once indexed past
+// RBSG's region table on a shard worker goroutine (the attack covered the
+// shard's gap pages), where the panic ended the daemon.
+func TestShardedRBSGJobDone(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv := newTestServer(t, t.TempDir(), 2)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	st := submitAndWait(t, ts, JobSpec{
+		Schemes:       []string{"RBSG"},
+		Attacks:       []string{"scan", "random"},
+		Pages:         256,
+		MeanEndurance: 2000,
+		Shards:        4,
+	})
+	for _, c := range st.Cells {
+		if c.Status != cellDone || c.Result == nil || c.Result.Sharded == nil {
+			t.Errorf("cell %s: status %s, result %+v; want a done sharded cell", c.Source, c.Status, c.Result)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the job: HTTP %d", resp.StatusCode)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"twl/internal/obs"
+	"twl/internal/schemes"
 	"twl/internal/snap"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
@@ -21,7 +22,7 @@ import (
 // wear and payload, same device totals, same metrics (minus the excluded
 // fast-path/checkpoint diagnostics), and a trace stream whose resumed tail
 // matches the baseline's byte for byte. The tests below enforce that for
-// every registered scheme against every differential source kind, with
+// every scheme of the table against every differential source kind, with
 // kills placed mid-fast-forward and one write before the page failure.
 
 // ckptCadence is deliberately prime and unaligned with the trace cadence
@@ -116,7 +117,7 @@ func ckptCompare(t *testing.T, build schemeFactory, kind string, killFF, resumeF
 	}
 }
 
-// TestCheckpointResumeDifferential sweeps every registered scheme against
+// TestCheckpointResumeDifferential sweeps every scheme of the table against
 // the differential source kinds, killing each run both mid-lifetime
 // (mid-fast-forward for bulk-writer schemes: the cadence is unaligned, so
 // checkpoints capture partially consumed source runs — under the
@@ -127,10 +128,10 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	if testing.Short() {
 		kinds = kinds[:1]
 	}
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		for _, kind := range kinds {
 			t.Run(name+"/"+kind, func(t *testing.T) {
-				build := registryFactory(name)
+				build := tableFactory(name)
 				baseline := ckptRunOne(t, build, kind, false, 0, nil)
 				// An odd cadence scaled to the run keeps roughly a dozen
 				// checkpoints per killed run while staying unaligned with
@@ -158,7 +159,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 func TestCheckpointResumePerRequestPath(t *testing.T) {
 	for _, name := range []string{"TWL_swp", "StartGap", "WRL"} {
 		t.Run(name, func(t *testing.T) {
-			build := registryFactory(name)
+			build := tableFactory(name)
 			baseline := ckptRunOne(t, build, "repeat", true, 0, nil)
 			every := baseline.res.DemandWrites/16 | 1
 			ckptCompare(t, build, "repeat", true, true, baseline, baseline.res.DemandWrites/2, every)
@@ -182,7 +183,7 @@ func TestCheckpointResumePerRequestPath(t *testing.T) {
 func TestCheckpointResumeAcrossPaths(t *testing.T) {
 	for _, name := range []string{"TWL_swp", "SR", "NOWL", "BWL"} {
 		t.Run(name, func(t *testing.T) {
-			build := registryFactory(name)
+			build := tableFactory(name)
 			baseline := ckptRunOne(t, build, "parsec", false, 0, nil)
 			every := baseline.res.DemandWrites/16 | 1
 			killAt := baseline.res.DemandWrites / 2
@@ -193,7 +194,7 @@ func TestCheckpointResumeAcrossPaths(t *testing.T) {
 	for _, name := range []string{"NOWL", "TWL_swp"} {
 		for _, kind := range []string{"scan", "inconsistent"} {
 			t.Run(name+"/"+kind, func(t *testing.T) {
-				build := registryFactory(name)
+				build := tableFactory(name)
 				baseline := ckptRunOne(t, build, kind, false, 0, nil)
 				every := baseline.res.DemandWrites/16 | 1
 				killAt := baseline.res.DemandWrites / 2
@@ -228,7 +229,7 @@ func TestCheckpointResumeAcrossPaths(t *testing.T) {
 // unserializable scheme or source, an empty path, or a checkpoint that does
 // not match the run it is applied to.
 func TestCheckpointValidation(t *testing.T) {
-	build := registryFactory("TWL_swp")
+	build := tableFactory("TWL_swp")
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	// Produce a valid checkpoint to mismatch against.
 	_ = ckptRunOne(t, build, "repeat", false, 3*ckptCadence, &CheckpointConfig{Path: path, Every: ckptCadence})
@@ -241,7 +242,7 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 
 	// Resuming under a different scheme must be rejected by the meta check.
-	other, err := wl.Default.Build("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
+	other, err := schemes.Build("NOWL", wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed), diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestCheckpointValidation(t *testing.T) {
 // TestCheckpointWriteFailureAborts: a run that cannot write its checkpoint
 // must stop rather than silently continue without crash safety.
 func TestCheckpointWriteFailureAborts(t *testing.T) {
-	build := registryFactory("TWL_swp")
+	build := tableFactory("TWL_swp")
 	s := build(t)
 	path := filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt")
 	_, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
@@ -308,14 +309,14 @@ func FuzzCheckpointResume(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint16(3), uint32(701), false)
 	f.Add(uint8(6), uint8(4), uint16(2), uint32(1500), true)
 	f.Fuzz(func(t *testing.T, schemeSel, kindSel uint8, killDiv uint16, cadence uint32, disableFF bool) {
-		names := wl.Names()
+		names := schemes.Names()
 		name := names[int(schemeSel)%len(names)]
 		kind := diffKinds[int(kindSel)%len(diffKinds)]
 		every := uint64(cadence%65536 + 1)
 		build := func(t *testing.T) wl.Scheme {
 			t.Helper()
 			dev := wltest.NewDeviceEndurance(t, 64, 500, diffSeed)
-			s, err := wl.Default.Build(name, dev, diffSeed)
+			s, err := schemes.Build(name, dev, diffSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func FuzzCheckpointResume(f *testing.F) {
 func TestCheckpointFileFormat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	build := registryFactory("TWL_swp")
+	build := tableFactory("TWL_swp")
 	_ = ckptRunOne(t, build, "repeat", false, 3*ckptCadence, &CheckpointConfig{Path: path, Every: ckptCadence})
 
 	raw, err := os.ReadFile(path)
@@ -396,7 +397,7 @@ func TestCheckpointFileFormat(t *testing.T) {
 func TestStopPreemption(t *testing.T) {
 	for _, kind := range []string{"repeat", "parsec"} {
 		t.Run(kind, func(t *testing.T) {
-			build := registryFactory("TWL_swp")
+			build := tableFactory("TWL_swp")
 			baseline := ckptRunOne(t, build, kind, false, 0, nil)
 
 			path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -444,7 +445,7 @@ func TestStopPreemption(t *testing.T) {
 // just cannot be resumed.
 func TestStopWithoutCheckpoint(t *testing.T) {
 	dev := wltest.NewDeviceEndurance(t, 64, 1<<20, diffSeed)
-	s, err := wl.Default.Build("StartGap", dev, diffSeed)
+	s, err := schemes.Build("StartGap", dev, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"twl/internal/schemes"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
 )
@@ -23,7 +24,7 @@ func benchLifetime(b *testing.B, scheme, kind string, disableFF bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dev := wltest.NewDeviceEndurance(b, 512, 5000, diffSeed)
-		s, err := wl.Default.Build(scheme, dev, diffSeed)
+		s, err := schemes.Build(scheme, dev, diffSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func benchLifetime(b *testing.B, scheme, kind string, disableFF bool) {
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
 
-// BenchmarkFastForward times every registered scheme under each benchKinds
+// BenchmarkFastForward times every scheme of the table under each benchKinds
 // source twice: once through the fast paths (bulkLoop, writeLoop) and once
 // pinned to the per-request loop. Both rows of a pair serve the same
 // writes (TestFastForwardDifferential pins that), so the ratio of their
@@ -47,7 +48,7 @@ func benchLifetime(b *testing.B, scheme, kind string, disableFF bool) {
 // over every cell.
 func BenchmarkFastForward(b *testing.B) {
 	for _, kind := range benchKinds {
-		for _, scheme := range wl.Names() {
+		for _, scheme := range schemes.Names() {
 			b.Run(kind+"/"+scheme+"/fast", func(b *testing.B) {
 				benchLifetime(b, scheme, kind, false)
 			})

@@ -9,21 +9,14 @@ import (
 	"twl/internal/attack"
 	"twl/internal/core"
 	"twl/internal/obs"
+	"twl/internal/schemes"
 	"twl/internal/trace"
 	"twl/internal/wl"
 	"twl/internal/wl/wltest"
 	"twl/internal/wl/wrl"
-
-	// Populate the default registry with every scheme so the differential
-	// test sweeps all of them (core and wrl register via the named imports).
-	_ "twl/internal/wl/bwl"
-	_ "twl/internal/wl/od3p"
-	_ "twl/internal/wl/rbsg"
-	_ "twl/internal/wl/secref"
-	_ "twl/internal/wl/startgap"
 )
 
-// sweepless lists the registered schemes without a sweep fast path (BWL,
+// sweepless lists the table's schemes without a sweep fast path (BWL,
 // whose per-address Bloom-filter walk has none); their sweeps take the
 // per-request fallback. Every other scheme must implement wl.SweepWriter;
 // wl.RunWriter is part of wl.Scheme.
@@ -125,17 +118,17 @@ type diffRun struct {
 	traceText   string
 }
 
-// schemeFactory builds a fresh scheme over a fresh device; the registry
+// schemeFactory builds a fresh scheme over a fresh device; the table
 // rows and the hand-built TWL/WRL variants share the differential harness
 // through it.
 type schemeFactory func(t *testing.T) wl.Scheme
 
-// registryFactory adapts a registered scheme name to a schemeFactory.
-func registryFactory(name string) schemeFactory {
+// tableFactory adapts a scheme-table name to a schemeFactory.
+func tableFactory(name string) schemeFactory {
 	return func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.Build(name, dev, diffSeed)
+		s, err := schemes.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +211,9 @@ func diffCompare(t *testing.T, build schemeFactory, kind string) {
 // TestFastForwardImplementers pins which schemes have the sweep fast path,
 // so an accidental interface change fails loudly.
 func TestFastForwardImplementers(t *testing.T) {
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		dev := wltest.NewDeviceEndurance(t, diffPages, diffEndurance, diffSeed)
-		s, err := wl.Default.Build(name, dev, diffSeed)
+		s, err := schemes.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +223,7 @@ func TestFastForwardImplementers(t *testing.T) {
 	}
 }
 
-// TestFastForwardDifferential runs every registered scheme against the
+// TestFastForwardDifferential runs every scheme of the table against the
 // repeat attack, the scan attack, the feedback-driven inconsistent attack
 // and a PARSEC workload through both the fast paths and the per-request
 // path, and requires bit-identical observables (see diffCompare). Every
@@ -240,10 +233,10 @@ func TestFastForwardImplementers(t *testing.T) {
 // swap-phase detection — and hence every reversal — bit-aligned with the
 // serial stream.
 func TestFastForwardDifferential(t *testing.T) {
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		for _, kind := range diffKinds {
 			t.Run(name+"/"+kind, func(t *testing.T) {
-				diffCompare(t, registryFactory(name), kind)
+				diffCompare(t, tableFactory(name), kind)
 			})
 		}
 	}
@@ -256,7 +249,7 @@ func TestFastForwardDifferential(t *testing.T) {
 // the per-request run, the generator's burst is unfinished: its next write
 // goes to the page that failed (NOWL maps every page to itself).
 func TestParsecFailsInsideBurst(t *testing.T) {
-	s := registryFactory("NOWL")(t)
+	s := tableFactory("NOWL")(t)
 	g := diffWorkload(t, wl.LogicalPages(s))
 	res, err := RunLifetime(s, FromWorkload(g), LifetimeConfig{
 		MaxDemandWrites:    3 * s.Device().TotalEndurance(),
@@ -288,8 +281,8 @@ func twlFactory(cfg func(seed uint64) core.Config) schemeFactory {
 }
 
 // twlVariants are hand-configured TWL engines covering the dimensions the
-// registry rows don't reach: every pairing under the xorshift alpha source
-// (the registry uses Feistel), the toss-up interval at the 7-bit WCT wrap
+// table rows don't reach: every pairing under the xorshift alpha source
+// (the table's TWL entries use Feistel), the toss-up interval at the 7-bit WCT wrap
 // (tables.MaxInterval, where the firing condition is the wrap to zero
 // rather than the >= interval compare), interval 1 (every write is a
 // toss-up — the fast path must absorb nothing), and the inter-pair swap
@@ -351,7 +344,7 @@ func TestFastForwardDifferentialTWLVariants(t *testing.T) {
 }
 
 // TestFastForwardDifferentialWRLVariants covers WRL configurations beyond
-// the registered default: a short prediction window (events every few dozen
+// the table's default: a short prediction window (events every few dozen
 // writes, so event handling dominates), a long running phase, and a partial
 // swap cap (the displaced-assignment path in swapPhase).
 func TestFastForwardDifferentialWRLVariants(t *testing.T) {
@@ -389,7 +382,7 @@ func TestFastForwardDifferentialWRLVariants(t *testing.T) {
 // in twl_ff_events_total), and the two views must tile the run exactly —
 // histogram count × observations + events == demand writes.
 func TestFastForwardMetrics(t *testing.T) {
-	s := registryFactory("TWL_swp")(t)
+	s := tableFactory("TWL_swp")(t)
 	reg := obs.NewRegistry()
 	res, err := RunLifetime(s, diffSource(t, "repeat", wl.LogicalPages(s)), LifetimeConfig{
 		MaxDemandWrites: 3 * s.Device().TotalEndurance(),

@@ -11,6 +11,7 @@ import (
 	"os"
 	"testing"
 
+	"twl/internal/schemes"
 	"twl/internal/wl"
 )
 
@@ -57,7 +58,7 @@ func goldenRun(t *testing.T, build schemeFactory, kind string) goldenCell {
 	}
 }
 
-// TestGolden pins every registered scheme against every differential
+// TestGolden pins every scheme of the table against every differential
 // source kind, and every TWL configuration variant, to the outcomes
 // recorded in testdata/golden.json. Unlike the fast-vs-per-request
 // differential tests, which catch the two paths drifting apart, this
@@ -91,9 +92,9 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		for _, kind := range diffKinds {
-			check(name+"/"+kind, registryFactory(name), kind)
+			check(name+"/"+kind, tableFactory(name), kind)
 		}
 	}
 	for _, v := range twlVariants {

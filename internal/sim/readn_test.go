@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"twl/internal/rng"
+	"twl/internal/schemes"
 	"twl/internal/wl"
 	"twl/internal/wl/od3p"
 	"twl/internal/wl/retire"
 	"twl/internal/wl/wltest"
 )
 
-// TestReadNContract holds every registered scheme, bare and under the
+// TestReadNContract holds every scheme of the table, bare and under the
 // retirement decorator, to the wl.Scheme.ReadN contract. Two identical
 // twins take the same seeded write prefix; then one serves ReadN(k) and the
 // other k Read calls at seeded in-range addresses. Stats, the device read
@@ -37,7 +38,7 @@ func TestReadNContract(t *testing.T) {
 	build := func(t *testing.T, name string, spares int) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewSpareDevice(t, pages, spares, endurance, diffSeed)
-		s, err := wl.Default.Build(name, dev, diffSeed)
+		s, err := schemes.Build(name, dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestReadNContract(t *testing.T) {
 		}
 		return s
 	}
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		for _, stack := range stacks {
 			for _, k := range []int{0, 1, 7, 500} {
 				t.Run(fmt.Sprintf("%s/%s/%d", name, stack.name, k), func(t *testing.T) {

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"twl/internal/obs"
+	"twl/internal/schemes"
 	"twl/internal/wl"
 	"twl/internal/wl/retire"
 	"twl/internal/wl/wltest"
 )
 
-// Lifetime beyond first failure: these tests drive every registered scheme
+// Lifetime beyond first failure: these tests drive every scheme of the table
 // through the retirement decorator and hold the decorated runs to the same
 // bit-identity contracts as bare ones — fast-forward vs per-request, and
 // kill/resume vs uninterrupted.
@@ -25,12 +26,12 @@ const retireSpares = 8
 // decorator as the outer layer over the bare scheme.
 const retireStack = "retire_outer"
 
-// buildRetired constructs a registered scheme over a spare-pool device and
+// buildRetired constructs a table scheme over a spare-pool device and
 // puts the retirement decorator over it.
 func buildRetired(t *testing.T, name string) wl.Scheme {
 	t.Helper()
 	dev := wltest.NewSpareDevice(t, diffPages, retireSpares, diffEndurance, diffSeed)
-	s, err := wl.Default.Build(name, dev, diffSeed)
+	s, err := schemes.Build(name, dev, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func requireRetired(t *testing.T, r diffRun) {
 	}
 }
 
-// TestRetireDifferential: every registered scheme under the retirement
+// TestRetireDifferential: every scheme of the table under the retirement
 // decorator must stay bit-identical between the fast-forward and
 // per-request paths while retirements fire mid-run — the capacity curve,
 // spare wear, metrics and trace events all land at the same demand counts
@@ -108,7 +109,7 @@ func TestRetireDifferential(t *testing.T) {
 	if testing.Short() {
 		kinds = kinds[:1]
 	}
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		for _, kind := range kinds {
 			t.Run(name+"/"+retireStack+"/"+kind, func(t *testing.T) {
 				slow := retireRunOne(t, name, kind, true, 0, nil)
@@ -150,7 +151,7 @@ func TestRetireLifetimeExtension(t *testing.T) {
 	bare := diffRunOne(t, func(t *testing.T) wl.Scheme {
 		t.Helper()
 		dev := wltest.NewSpareDevice(t, diffPages, retireSpares, diffEndurance, diffSeed)
-		s, err := wl.Default.Build("TWL_swp", dev, diffSeed)
+		s, err := schemes.Build("TWL_swp", dev, diffSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,14 +254,14 @@ func TestRetireCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDecoratorStackingSnapshots: for every registered scheme, the
+// TestDecoratorStackingSnapshots: for every scheme of the table, the
 // retirement composite keeps the bare scheme's sweep fast path exactly, and
 // a mid-traffic snapshot restores into a fresh composite byte-identically.
 func TestDecoratorStackingSnapshots(t *testing.T) {
-	for _, name := range wl.Names() {
+	for _, name := range schemes.Names() {
 		t.Run(name+"/"+retireStack, func(t *testing.T) {
 			bareDev := wltest.NewSpareDevice(t, 64, 4, 1e9, diffSeed)
-			bare, err := wl.Default.Build(name, bareDev, diffSeed)
+			bare, err := schemes.Build(name, bareDev, diffSeed)
 			if err != nil {
 				t.Fatal(err)
 			}

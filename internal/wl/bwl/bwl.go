@@ -525,14 +525,3 @@ func (s *Scheme) Restore(r io.Reader) error {
 	}
 	return s.stats.Restore(r)
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "BWL",
-		Order: 10,
-		Doc:   "Bloom-filter dynamic wear leveling (DATE'12)",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(dev.Pages(), seed))
-		},
-	})
-}

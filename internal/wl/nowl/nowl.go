@@ -80,14 +80,3 @@ func (s *Scheme) Snapshot(w io.Writer) error { return s.stats.Snapshot(w) }
 
 // Restore implements wl.Snapshotter.
 func (s *Scheme) Restore(r io.Reader) error { return s.stats.Restore(r) }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "NOWL",
-		Order: 50,
-		Doc:   "no wear leveling (identity mapping)",
-		New: func(dev *pcm.Device, _ uint64) (wl.Scheme, error) {
-			return New(dev), nil
-		},
-	})
-}

@@ -298,14 +298,3 @@ func (s *Scheme) CheckInvariants() error {
 	}
 	return nil
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "OD3P",
-		Order: 90,
-		Doc:   "on-demand page pairing with graceful degradation (reference [1])",
-		New: func(dev *pcm.Device, _ uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig())
-		},
-	})
-}

@@ -453,14 +453,3 @@ func (s *Scheme) CheckInvariants() error {
 	}
 	return nil
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "RBSG",
-		Order: 100,
-		Doc:   "detector-adaptive region-based Start-Gap (references [7]/[11])",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(dev.Pages(), seed))
-		},
-	})
-}

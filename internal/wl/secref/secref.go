@@ -372,14 +372,3 @@ func (s *Scheme) Restore(r io.Reader) error {
 	}
 	return nil
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "SR",
-		Order: 20,
-		Doc:   "Security Refresh, single level (ISCA'10)",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(seed))
-		},
-	})
-}

@@ -80,6 +80,7 @@ func DefaultTwoLevelConfig(pages int, meanEndurance float64, seed uint64) TwoLev
 type TwoLevel struct {
 	dev   *pcm.Device    // snap: device state is checkpointed by the sim layer
 	cfg   TwoLevelConfig // snap: construction input
+	name  string         // snap: construction input
 	outer region
 	inner []region
 	src   *rng.Xorshift
@@ -98,7 +99,8 @@ type TwoLevel struct {
 	composed []int // snap: rebuilt from region keys on Restore
 }
 
-// NewTwoLevel builds a two-level Security Refresh scheme over dev.
+// NewTwoLevel builds a two-level Security Refresh scheme over dev. It is
+// the paper's SR, and its Name is "SR".
 func NewTwoLevel(dev *pcm.Device, cfg TwoLevelConfig) (*TwoLevel, error) {
 	if cfg.Regions <= 0 {
 		return nil, fmt.Errorf("secref: Regions must be positive: %w", wl.ErrBadConfig)
@@ -120,6 +122,7 @@ func NewTwoLevel(dev *pcm.Device, cfg TwoLevelConfig) (*TwoLevel, error) {
 	s := &TwoLevel{
 		dev:        dev,
 		cfg:        cfg,
+		name:       "SR",
 		src:        rng.NewXorshift(cfg.Seed),
 		sinceInner: make([]int, cfg.Regions),
 	}
@@ -141,8 +144,22 @@ func NewTwoLevel(dev *pcm.Device, cfg TwoLevelConfig) (*TwoLevel, error) {
 	return s, nil
 }
 
-// Name implements wl.Scheme.
-func (s *TwoLevel) Name() string { return "SR2" }
+// NewFullScaleTwoLevel builds the two-level scheme at full-scale leveling
+// rates — DefaultTwoLevelConfig at a mean endurance of 10⁸ — named SR2 to
+// tell it apart from the endurance-rescaled SR of the lifetime experiments
+// (see lifetimeScheme in experiments.go).
+func NewFullScaleTwoLevel(dev *pcm.Device, seed uint64) (*TwoLevel, error) {
+	s, err := NewTwoLevel(dev, DefaultTwoLevelConfig(dev.Pages(), 1e8, seed))
+	if err != nil {
+		return nil, err
+	}
+	s.name = "SR2"
+	return s, nil
+}
+
+// Name implements wl.Scheme: "SR" for a scheme from NewTwoLevel, "SR2"
+// for one from NewFullScaleTwoLevel.
+func (s *TwoLevel) Name() string { return s.name }
 
 // physical resolves a logical address through both levels.
 func (s *TwoLevel) physical(la int) int {
@@ -436,15 +453,4 @@ func (s *TwoLevel) Restore(r io.Reader) error {
 		s.composed[la] = s.physical(la)
 	}
 	return nil
-}
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "SR2",
-		Order: 110,
-		Doc:   "Security Refresh, two level, at full-scale leveling rates (lifetime experiments rescale the intervals; see lifetimeScheme in experiments.go)",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return NewTwoLevel(dev, DefaultTwoLevelConfig(dev.Pages(), 1e8, seed))
-		},
-	})
 }

@@ -127,8 +127,17 @@ func TestTwoLevelInvariantsMidSweeps(t *testing.T) {
 	}
 }
 
+// TestTwoLevelName pins both names of the two-level scheme: NewTwoLevel
+// builds the paper's SR, NewFullScaleTwoLevel the full-scale SR2.
 func TestTwoLevelName(t *testing.T) {
-	if buildTwoLevel(t, 1).Name() != "SR2" {
-		t.Fatal("name mismatch")
+	if got := buildTwoLevel(t, 1).Name(); got != "SR" {
+		t.Fatalf("NewTwoLevel name = %q, want SR", got)
+	}
+	s, err := NewFullScaleTwoLevel(wltest.NewDevice(t, 256, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Name(); got != "SR2" {
+		t.Fatalf("NewFullScaleTwoLevel name = %q, want SR2", got)
 	}
 }

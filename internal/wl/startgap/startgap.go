@@ -300,15 +300,3 @@ func (s *Scheme) Restore(r io.Reader) error {
 	}
 	return s.stats.Restore(r)
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:    "StartGap",
-		Aliases: []string{"start-gap", "sg"},
-		Order:   80,
-		Doc:     "Start-Gap with affine address randomization (MICRO'09)",
-		New: func(dev *pcm.Device, seed uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(seed))
-		},
-	})
-}

@@ -13,11 +13,27 @@
 package wl
 
 import (
+	"errors"
 	"io"
 	"sort"
 
 	"twl/internal/pcm"
 	"twl/internal/snap"
+)
+
+// Sentinel errors for the scheme API. Callers match them with errors.Is
+// instead of string-matching messages.
+var (
+	// ErrUnknownScheme reports a scheme name the scheme table does not
+	// know.
+	ErrUnknownScheme = errors.New("unknown wear-leveling scheme")
+	// ErrBadConfig reports an invalid scheme or system configuration.
+	ErrBadConfig = errors.New("invalid configuration")
+	// ErrCapacityExhausted reports that a lifetime run ended because the
+	// fault-tolerance layer ran out of capacity — the spare pool was
+	// exhausted or the retirement threshold was crossed — rather than at
+	// the device's first page failure. LifetimeResult.FailCause carries it.
+	ErrCapacityExhausted = errors.New("spare capacity exhausted")
 )
 
 // Cost describes what one logical request cost the machine.
@@ -245,10 +261,6 @@ const (
 	ControlCycles = 5  // scheme control logic
 	RNGCycles     = 4  // random-number generation
 )
-
-// Factory builds a scheme over a device; registries in the cmd tools use
-// this to select schemes by name.
-type Factory func(dev *pcm.Device, seed uint64) (Scheme, error)
 
 // SortByEndurance returns page indices sorted by ascending endurance
 // (weakest first). Shared by WRL's swap phase and TWL's strong-weak pairing.

@@ -2,12 +2,42 @@ package wl
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"testing"
 
 	"twl/internal/pcm"
 )
+
+func testDevice(t *testing.T, pages int) *pcm.Device {
+	t.Helper()
+	end := make([]uint64, pages)
+	for i := range end {
+		end[i] = 1000
+	}
+	geom := pcm.Geometry{Pages: pages, PageSize: 4096, LineSize: 128, Ranks: 1, Banks: 1}
+	dev, err := pcm.NewDevice(geom, pcm.DefaultTiming(), end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// fakeScheme is a minimal Scheme for decorator tests.
+type fakeScheme struct {
+	name string
+	dev  *pcm.Device
+}
+
+func (f *fakeScheme) Name() string                          { return f.name }
+func (f *fakeScheme) Write(int, uint64) Cost                { return Cost{DeviceWrites: 1} }
+func (f *fakeScheme) Read(int) (uint64, Cost)               { return 0, Cost{DeviceReads: 1} }
+func (f *fakeScheme) ReadN(int) Cost                        { return Cost{DeviceReads: 1} }
+func (f *fakeScheme) Stats() Stats                          { return Stats{} }
+func (f *fakeScheme) Device() *pcm.Device                   { return f.dev }
+func (f *fakeScheme) CheckInvariants() error                { return nil }
+func (f *fakeScheme) Snapshot(io.Writer) error              { return nil }
+func (f *fakeScheme) Restore(io.Reader) error               { return nil }
+func (f *fakeScheme) WriteRun(int, uint64, int) (Cost, int) { return Cost{}, 0 }
 
 // capScheme is fakeScheme with probing overrides of the Scheme bulk,
 // check and snapshot methods plus the optional WriteSweep, so tests can
@@ -197,22 +227,3 @@ func TestWrapUnwrapChain(t *testing.T) {
 type reporterBody struct{ Scheme }
 
 func (b *reporterBody) CapacityStats() CapacityStats { return CapacityStats{SparePages: 42} }
-
-// TestRegistryBuildWithOptions: Build returns the factory's scheme itself,
-// with no decorator layer over it; decorators are applied by their own
-// constructors on a built scheme.
-func TestRegistryBuildWithOptions(t *testing.T) {
-	r := NewRegistry()
-	r.MustAdd(Registration{Name: "Fake", New: fakeFactory("Fake")})
-	dev := testDevice(t, 8)
-	s, err := r.Build("fake", dev, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(Unwrapper); ok || s.Name() != "Fake" {
-		t.Fatalf("Build returned a decorated or misnamed scheme (name=%q)", s.Name())
-	}
-	if _, err := r.Build("bogus", dev, 1); !errors.Is(err, ErrUnknownScheme) {
-		t.Fatalf("Build unknown scheme err = %v", err)
-	}
-}

@@ -417,14 +417,3 @@ func (s *Scheme) Restore(r io.Reader) error {
 	s.phase = phase(ph)
 	return s.stats.Restore(r)
 }
-
-func init() {
-	wl.Register(wl.Registration{
-		Name:  "WRL",
-		Order: 70,
-		Doc:   "Wear Rate Leveling (DAC'11)",
-		New: func(dev *pcm.Device, _ uint64) (wl.Scheme, error) {
-			return New(dev, DefaultConfig(dev.Pages()))
-		},
-	})
-}

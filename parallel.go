@@ -1,6 +1,7 @@
 package twl
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,10 +18,24 @@ import (
 // sequential order regardless of scheduling.
 
 // cellTask is one independent simulation producing a value for its slot.
-// The name labels the cell in metrics and trace events ("fig6/BWL/scan").
+// The name labels the cell in metrics, trace events and errors
+// ("fig6/BWL/scan").
 type cellTask struct {
 	name string
 	run  func() error
+}
+
+// call runs the task and returns a panic as its error, naming the cell. A
+// scheme bug that one cell's configuration reaches then fails that cell's
+// grid like any other error; on a worker goroutine no caller could recover
+// it, and it would end the process.
+func (t cellTask) call() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("twl: cell %s panicked: %v", t.name, r)
+		}
+	}()
+	return t.run()
 }
 
 // cellObserver records per-cell timing and worker utilization into an obs
@@ -54,10 +69,10 @@ func newCellObserver(reg *obs.Registry, tr *obs.Tracer, workers int) *cellObserv
 // observe wraps one task with timing.
 func (o *cellObserver) observe(t cellTask) error {
 	if o == nil {
-		return t.run()
+		return t.call()
 	}
 	start := clock.Now()
-	err := t.run()
+	err := t.call()
 	elapsed := clock.Since(start)
 	o.busyNs.Add(int64(elapsed))
 	if o.cells != nil {

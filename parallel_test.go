@@ -2,6 +2,8 @@ package twl
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,6 +56,38 @@ func TestDispatchCellsMidGridFailure(t *testing.T) {
 					t.Fatalf("sequential: cell %d after the failure completed", i)
 				}
 			}
+		}
+	}
+}
+
+// TestRunCellsPanicIsTaskError: a task that panics fails the grid with an
+// error naming it, on the worker pool (where nothing above the worker
+// goroutine could recover the panic) and on the sequential path alike.
+func TestRunCellsPanicIsTaskError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, bad = 8, 5
+	tasks := make([]cellTask, n)
+	for i := range tasks {
+		tasks[i] = cellTask{name: fmt.Sprintf("cell/%d", i), run: func() error {
+			if i == bad {
+				panic("scheme bug")
+			}
+			return nil
+		}}
+	}
+	for _, run := range []struct {
+		name string
+		fn   func() ([]bool, error)
+	}{
+		{"pool", func() ([]bool, error) { return runCells(nil, nil, tasks) }},
+		{"sequential", func() ([]bool, error) { return dispatchCells(1, nil, nil, tasks) }},
+	} {
+		completed, err := run.fn()
+		if err == nil || !strings.Contains(err.Error(), "cell/5 panicked") {
+			t.Fatalf("%s: error %v, want a panic error naming cell/5", run.name, err)
+		}
+		if completed[bad] {
+			t.Fatalf("%s: the panicking cell is marked completed", run.name)
 		}
 	}
 }

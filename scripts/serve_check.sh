@@ -7,10 +7,11 @@
 # the same state directory and requires (a) the job to complete, simulating
 # exactly the cells that were unfinished at the kill — journaled cells are
 # neither re-run nor re-read from the cache — with the journal compacted
-# away, and (b) an identical resubmitted grid to be served entirely from the
-# content-addressed result cache. This is the shell-level counterpart of
-# internal/serve's drain/restart tests: a real binary, a real kill -9, real
-# files.
+# away, (b) an identical resubmitted grid to be served entirely from the
+# content-addressed result cache, and (c) a sharded RBSG job under scan and
+# random to settle done with the daemon still answering. This is the
+# shell-level counterpart of internal/serve's drain/restart tests: a real
+# binary, a real kill -9, real files.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -151,7 +152,27 @@ if [ -e "$work/data/jobs/$id2.log" ]; then
     exit 1
 fi
 
+# A sharded RBSG job under scan and random. These cells once panicked on a
+# shard worker goroutine, where no recover in the daemon could catch it:
+# the daemon died, and died again on every restart that re-ran the pending
+# cell.
+rbsg_spec='{"schemes":["RBSG"],"attacks":["scan","random"],"shards":4,"pages":256,"mean_endurance":2000}'
+id3=$(curl -fsS -d "$rbsg_spec" "$base/jobs" | grep -o '"id": "[^"]*"' | cut -d'"' -f4)
+status=""
+for _ in $(seq 1 100); do
+    status=$(job_status "$id3" 2>/dev/null || true)
+    [ "$status" = "running" ] || break
+    sleep 0.1
+done
+if [ "$status" != "done" ] || ! curl -fsS "$base/healthz" >/dev/null 2>&1; then
+    echo "serve_check: FAIL — sharded RBSG job settled as '${status:-no answer}';" \
+        "want done with the daemon still answering" >&2
+    tail -20 "$work/daemon.log" >&2 || true
+    exit 1
+fi
+echo "serve_check: sharded RBSG job done, daemon still answering"
+
 kill -TERM "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "serve_check: OK — kill/restart completion from the journal and cache dedupe verified"
+echo "serve_check: OK — kill/restart completion from the journal, cache dedupe and the sharded RBSG job verified"

@@ -113,7 +113,10 @@ type shardedRun struct {
 // buildShard constructs shard i's independent device, scheme and attack
 // source. The endurance slice comes from one global process-variation map,
 // so the sharded device is page-for-page the full-geometry device; only the
-// traffic and scheme scope are per shard.
+// traffic and scheme scope are per shard. The scheme is built as an
+// unsharded lifetime cell builds it (lifetimeScheme, over a shard-sized
+// system), and the attack covers the scheme's logical pages, as in
+// NewAttackRun.
 func (r *shardedRun) buildShard(i int) (Scheme, sim.Source, error) {
 	geom := pcm.Geometry{
 		Pages:    r.sp,
@@ -128,11 +131,13 @@ func (r *shardedRun) buildShard(i int) (Scheme, sim.Source, error) {
 		return nil, nil, fmt.Errorf("twl: shard %d device: %w", i, err)
 	}
 	seed := shardSeed(r.sys.Seed, i)
-	s, err := wl.Build(r.cfg.Scheme, dev, seed)
+	sys := r.sys
+	sys.Pages = r.sp
+	s, err := lifetimeScheme(r.cfg.Scheme, dev, seed, sys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("twl: shard %d scheme: %w", i, err)
 	}
-	st, err := attack.New(attack.DefaultConfig(r.cfg.Mode, r.sp, seed))
+	st, err := attack.New(attack.DefaultConfig(r.cfg.Mode, wl.LogicalPages(s), seed))
 	if err != nil {
 		return nil, nil, fmt.Errorf("twl: shard %d attack: %w", i, err)
 	}

@@ -26,50 +26,56 @@ func shardedTestSystem(seed uint64) SystemConfig {
 
 // TestShardedSingleShardMatchesDirect: with Shards=1 the orchestration is a
 // plain lifetime run; reproduce it by hand through the same constructors
-// and require an identical result.
+// an unsharded cell uses (lifetimeScheme, an attack over the scheme's
+// logical pages) and require an identical result. SR is the scheme
+// lifetimeScheme builds differently from NewScheme.
 func TestShardedSingleShardMatchesDirect(t *testing.T) {
-	sys := shardedTestSystem(21)
-	res, err := RunShardedLifetime(sys, ShardedConfig{Scheme: "TWL_swp", Mode: AttackInconsistent, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, name := range []string{"TWL_swp", "SR"} {
+		t.Run(name, func(t *testing.T) {
+			sys := shardedTestSystem(21)
+			res, err := RunShardedLifetime(sys, ShardedConfig{Scheme: name, Mode: AttackInconsistent, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	end, err := pv.Generate(pv.Config{
-		Pages: sys.Pages, Mean: sys.MeanEndurance, Sigma: sys.SigmaFraction * sys.MeanEndurance,
-		Model: pv.Gaussian, Seed: sys.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var totalEnd uint64
-	for _, e := range end {
-		totalEnd += e
-	}
-	geom := pcm.Geometry{Pages: sys.Pages, PageSize: sys.PageSize, LineSize: 128, Ranks: 1, Banks: 1}
-	dev, err := pcm.NewDevice(geom, pcm.DefaultTiming(), end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := shardSeed(sys.Seed, 0)
-	s, err := wl.Build("TWL_swp", dev, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := attack.New(attack.DefaultConfig(attack.Inconsistent, sys.Pages, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sim.RunLifetime(s, sim.FromAttack(st), sim.LifetimeConfig{MaxDemandWrites: 2 * totalEnd})
-	if err != nil {
-		t.Fatal(err)
-	}
+			end, err := pv.Generate(pv.Config{
+				Pages: sys.Pages, Mean: sys.MeanEndurance, Sigma: sys.SigmaFraction * sys.MeanEndurance,
+				Model: pv.Gaussian, Seed: sys.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var totalEnd uint64
+			for _, e := range end {
+				totalEnd += e
+			}
+			geom := pcm.Geometry{Pages: sys.Pages, PageSize: sys.PageSize, LineSize: 128, Ranks: 1, Banks: 1}
+			dev, err := pcm.NewDevice(geom, pcm.DefaultTiming(), end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := shardSeed(sys.Seed, 0)
+			s, err := lifetimeScheme(name, dev, seed, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := attack.New(attack.DefaultConfig(attack.Inconsistent, wl.LogicalPages(s), seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := sim.RunLifetime(s, sim.FromAttack(st), sim.LifetimeConfig{MaxDemandWrites: 2 * totalEnd})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if res.LifetimeResult != direct {
-		t.Errorf("sharded (1 shard) differs from direct run:\nsharded: %+v\ndirect: %+v",
-			res.LifetimeResult, direct)
-	}
-	if res.FailedShard != 0 || res.Shards != 1 || res.ShardPages != sys.Pages {
-		t.Errorf("sharded bookkeeping: %+v", res)
+			if res.LifetimeResult != direct {
+				t.Errorf("sharded (1 shard) differs from direct run:\nsharded: %+v\ndirect: %+v",
+					res.LifetimeResult, direct)
+			}
+			if res.FailedShard != 0 || res.Shards != 1 || res.ShardPages != sys.Pages {
+				t.Errorf("sharded bookkeeping: %+v", res)
+			}
+		})
 	}
 }
 

@@ -29,19 +29,11 @@ import (
 	"twl/internal/obs"
 	"twl/internal/pcm"
 	"twl/internal/pv"
+	"twl/internal/schemes"
 	"twl/internal/sim"
 	"twl/internal/trace"
 	"twl/internal/wl"
 	"twl/internal/wl/retire"
-
-	// Scheme packages register themselves with the wl registry in init;
-	// these imports make every scheme constructible by name. (nowl, secref
-	// and core are additionally imported by experiments.go for direct use.)
-	_ "twl/internal/wl/bwl"
-	_ "twl/internal/wl/od3p"
-	_ "twl/internal/wl/rbsg"
-	_ "twl/internal/wl/startgap"
-	_ "twl/internal/wl/wrl"
 )
 
 // Re-exported core types, so API users can name them without reaching into
@@ -233,23 +225,24 @@ var (
 )
 
 // SchemeNames lists the scheme identifiers accepted by NewScheme, in the
-// order the paper's figures present them. The list is derived from the
-// scheme registry (internal/wl), so it is always in sync with what
-// NewScheme accepts.
-func SchemeNames() []string { return wl.Names() }
+// order the paper's figures present them. It reads the scheme table
+// (internal/schemes) that NewScheme builds from, so the two cannot
+// disagree.
+func SchemeNames() []string { return schemes.Names() }
 
-// SchemeDocs returns one line of documentation per registered scheme, in
-// SchemeNames order, for command-line usage messages.
+// SchemeDocs returns one line of documentation per scheme, in SchemeNames
+// order, for command-line usage messages.
 func SchemeDocs() []string {
-	regs := wl.Default.Registrations()
-	docs := make([]string, 0, len(regs))
-	for _, r := range regs {
-		line := r.Name
-		if len(r.Aliases) > 0 {
-			line += " (aliases: " + strings.Join(r.Aliases, ", ") + ")"
+	names := schemes.Names()
+	docs := make([]string, 0, len(names))
+	for _, name := range names {
+		e, _ := schemes.Lookup(name)
+		line := e.Name
+		if len(e.Aliases) > 0 {
+			line += " (aliases: " + strings.Join(e.Aliases, ", ") + ")"
 		}
-		if r.Doc != "" {
-			line += " — " + r.Doc
+		if e.Doc != "" {
+			line += " — " + e.Doc
 		}
 		docs = append(docs, line)
 	}
@@ -259,12 +252,12 @@ func SchemeDocs() []string {
 // NewScheme constructs a wear-leveling scheme by name over dev. Recognized
 // names (case-insensitive): BWL, SR, TWL_ap, TWL_swp (alias TWL), NOWL,
 // TWL_rand, WRL, StartGap (aliases start-gap, sg), OD3P, RBSG, SR2 — see
-// SchemeNames/SchemeDocs for the authoritative registry-derived list. An
+// SchemeNames/SchemeDocs for the list the scheme table holds. An
 // unrecognized name returns an error wrapping ErrUnknownScheme; a scheme
 // rejecting its derived configuration returns an error wrapping
 // ErrBadConfig.
 func NewScheme(name string, dev *Device, seed uint64) (Scheme, error) {
-	return wl.Build(name, dev, seed)
+	return schemes.Build(name, dev, seed)
 }
 
 // AttachRetirement decorates a built scheme with spare-pool page
