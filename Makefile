@@ -2,7 +2,7 @@
 # analysis (go vet plus the project's own twlint suite), build, the full
 # race-enabled test suite and a single-iteration benchmark smoke (catches
 # bit-rot in the hot-loop benchmarks without spending benchmark time).
-.PHONY: check fmt vet lint budget build test bench benchsmoke bigbench bigbenchsmoke fuzzsmoke servesmoke
+.PHONY: check fmt vet lint build test bench benchsmoke bigbench bigbenchsmoke fuzzsmoke servesmoke
 
 check: fmt vet lint build test benchsmoke
 
@@ -22,18 +22,11 @@ vet:
 
 # Project-specific static contracts that go vet cannot check (determinism,
 # cost accounting, typed atomics, checkpoint completeness, decorator
-# interception, concurrency discipline, hotpath allocation budget) — see
-# DESIGN.md "Static contracts". No finding can be silenced; the hotpath
-# escape-analysis budget lives in twlint.budget.
+# interception, concurrency discipline, and zero heap allocations in every
+# //twl:hotpath function, read from the compiler's escape analysis) — see
+# DESIGN.md "Static contracts". No finding can be silenced.
 lint:
-	go run ./cmd/twlint -budget twlint.budget ./...
-
-# Regenerate the hotpath allocation budget and fail when it drifts from the
-# committed file — run after intentionally changing a //twl:hotpath function
-# and commit the result.
-budget:
-	go run ./cmd/twlint -update-budget -budget twlint.budget ./...
-	git diff --exit-code -- twlint.budget
+	go run ./cmd/twlint ./...
 
 build:
 	go build ./...

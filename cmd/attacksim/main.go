@@ -6,7 +6,8 @@
 //	attacksim -replicate N  Figure 6 inconsistent-attack cells over N seeds
 //
 // Only the selected experiments run; with none selected, -fig6 and -fig7
-// do.
+// do. A flag for an experiment that does not run exits 2: -requests needs
+// Figure 7, -metrics and -trace need -fig6 or -retire.
 //
 // The -retire experiment attaches the page-retirement decorator and runs
 // each scheme past its first failure until the spare pool exhausts,
@@ -47,10 +48,15 @@ func main() {
 		pprofPfx   = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
-	// -spare-frac has a non-zero default, so "given" means named on the
-	// command line.
+	// A flag for an experiment that does not run would be ignored, so it is
+	// a usage error. "Given" means named on the command line: -spare-frac
+	// has a non-zero default.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !*fig6 && !*fig7 && !*retire && *replicate == 0 {
+		*fig6 = true
+		*fig7 = true
+	}
 	cliutil.Check("attacksim", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
@@ -63,11 +69,10 @@ func main() {
 		cliutil.Requires("-retire-threshold", set["retire-threshold"], "-retire", *retire),
 		cliutil.Requires("-trace-every", set["trace-every"], "-retire", *retire),
 		cliutil.Requires("-trace-every", set["trace-every"], "-trace", *traceFile != ""),
+		cliutil.Requires("-requests", set["requests"], "-fig7", *fig7),
+		cliutil.Requires("-metrics", set["metrics"], "-fig6 or -retire", *fig6 || *retire),
+		cliutil.Requires("-trace", set["trace"], "-fig6 or -retire", *fig6 || *retire),
 	))
-	if !*fig6 && !*fig7 && !*retire && *replicate == 0 {
-		*fig6 = true
-		*fig7 = true
-	}
 
 	if *pprofPfx != "" {
 		stop, err := obs.StartProfile(*pprofPfx)

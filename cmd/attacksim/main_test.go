@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,29 @@ func TestRetireFlagsRequireRetire(t *testing.T) {
 		{"-fig6", "-trace-every", "7"},
 		{"-fig6", "-trace-every", "7", "-trace", os.DevNull},
 		{"-retire", "-trace-every", "7"},
+	} {
+		out, stderr, code := run(t, append(args, "-pages", "256", "-endurance", "2500")...)
+		if code != 2 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q; want exit 2 and no output (stderr %q)", strings.Join(args, " "), code, out, stderr)
+		}
+	}
+}
+
+// TestFlagsRequireTheirExperiment: -requests only sizes Figure 7, and
+// -metrics and -trace only observe the Figure 6 and -retire grids, so each
+// would be ignored when none of its experiments runs (after the default
+// -fig6 -fig7 selection). Each is a usage error, rejected before any
+// output.
+func TestFlagsRequireTheirExperiment(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	for _, args := range [][]string{
+		{"-fig6", "-requests", "5"},
+		{"-retire", "-requests", "5"},
+		{"-replicate", "1", "-requests", "5"},
+		{"-fig7", "-metrics"},
+		{"-fig7", "-trace", trace},
+		{"-fig7", "-metrics", "-trace", trace},
+		{"-replicate", "1", "-metrics"},
 	} {
 		out, stderr, code := run(t, append(args, "-pages", "256", "-endurance", "2500")...)
 		if code != 2 || out != "" {

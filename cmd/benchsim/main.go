@@ -6,6 +6,9 @@
 //
 // All run on the scaled default system; -pages/-endurance/-seed adjust the
 // scale and -benchmarks restricts the suite (comma-separated Table 2 names).
+// With none selected, all three run. A flag for an experiment that does
+// not run exits 2: -requests needs Figure 9, -benchmarks and -metrics need
+// Figure 8 or 9, and -trace needs Figure 8.
 package main
 
 import (
@@ -35,15 +38,23 @@ func main() {
 		pprofPfx  = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
+	if !*table2 && !*fig8 && !*fig9 {
+		*table2, *fig8, *fig9 = true, true, true
+	}
+	// A flag named for an experiment that does not run would be ignored:
+	// Table 2 takes none of them, and only Figure 8 traces its cells.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	cliutil.Check("benchsim", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.NonNegativeInt("-pages", *pages),
 		cliutil.NonNegativeFloat("-endurance", *endurance),
 		cliutil.NonNegativeInt("-requests", *requests),
+		cliutil.Requires("-requests", set["requests"], "-fig9", *fig9),
+		cliutil.Requires("-benchmarks", set["benchmarks"], "-fig8 or -fig9", *fig8 || *fig9),
+		cliutil.Requires("-metrics", set["metrics"], "-fig8 or -fig9", *fig8 || *fig9),
+		cliutil.Requires("-trace", set["trace"], "-fig8", *fig8),
 	))
-	if !*table2 && !*fig8 && !*fig9 {
-		*table2, *fig8, *fig9 = true, true, true
-	}
 
 	if *pprofPfx != "" {
 		stop, err := obs.StartProfile(*pprofPfx)

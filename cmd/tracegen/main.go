@@ -5,7 +5,9 @@
 //
 // The records are the request stream sim.FromWorkload serves from a
 // generator of the same benchmark, pages and seed, in a text format for
-// external tools: one "W addr" / "R addr" line per record.
+// external tools: one "W addr" / "R addr" line per record. -inspect
+// generates nothing, so it exits 2 beside any generation flag (-bench, -n,
+// -pages, -seed, -o, -metrics).
 package main
 
 import (
@@ -33,10 +35,21 @@ func main() {
 		pprofPfx = flag.String("pprof", "", "capture CPU+heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
+	// -inspect generates nothing, so a generation flag named beside it
+	// would be ignored.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	inspecting := *inspect != ""
 	cliutil.Check("tracegen", cliutil.FirstError(
 		cliutil.NoArgs(flag.Args()),
 		cliutil.PositiveInt("-n", *n),
 		cliutil.PositiveInt("-pages", *pages),
+		cliutil.Exclusive("-inspect", inspecting, "-bench", set["bench"]),
+		cliutil.Exclusive("-inspect", inspecting, "-n", set["n"]),
+		cliutil.Exclusive("-inspect", inspecting, "-pages", set["pages"]),
+		cliutil.Exclusive("-inspect", inspecting, "-seed", set["seed"]),
+		cliutil.Exclusive("-inspect", inspecting, "-o", set["o"]),
+		cliutil.Exclusive("-inspect", inspecting, "-metrics", set["metrics"]),
 	))
 
 	if *pprofPfx != "" {
@@ -45,7 +58,7 @@ func main() {
 		defer func() { fatal(stop()) }()
 	}
 
-	if *inspect != "" {
+	if inspecting {
 		fatal(inspectTrace(*inspect))
 		return
 	}

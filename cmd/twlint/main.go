@@ -4,17 +4,14 @@
 // twl/internal/lint for the full list of contracts and DESIGN.md "Static
 // contracts" for their rationale. Usage:
 //
-//	go run ./cmd/twlint [-json] [-budget twlint.budget] [-update-budget] ./...
+//	go run ./cmd/twlint [packages]   # default ./...
 //
-// Exit status 1 when any finding remains, 2 on driver errors. No finding
-// can be silenced: clearing one means changing the code or the analyzer.
-// -budget enables the hotpath allocation-budget phase (escape-analysis diff
-// against the committed budget file); -update-budget regenerates the file
-// instead of diffing.
+// It prints one "pos: [analyzer] message" line per finding and exits with
+// status 1 when any finding remains, 2 on driver errors. No finding can be
+// silenced: clearing one means changing the code or the analyzer.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,41 +20,18 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (CI mode)")
-	budgetPath := flag.String("budget", "", "hotpath allocation-budget file; empty skips the budget phase")
-	updateBudget := flag.Bool("update-budget", false, "rewrite the -budget file from the observed escape analysis")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if *updateBudget && *budgetPath == "" {
-		*budgetPath = "twlint.budget"
-	}
-
-	diags, err := lint.Run(patterns, lint.Options{
-		BudgetPath:   *budgetPath,
-		UpdateBudget: *updateBudget,
-	})
+	diags, err := lint.Run(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "twlint: %v\n", err)
 		os.Exit(2)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "twlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)

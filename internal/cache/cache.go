@@ -45,8 +45,8 @@ type Stats struct {
 // atomics.
 type Cache struct {
 	dir    string
-	hits   atomic.Uint64 //twl:guardedby atomic
-	misses atomic.Uint64 //twl:guardedby atomic
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // New opens (creating if necessary) a cache rooted at dir.

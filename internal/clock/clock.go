@@ -17,10 +17,7 @@ import (
 
 // source holds the active time source. An atomic pointer (not a plain
 // package variable) so tests swapping the source do not race with worker
-// goroutines reading it; the concurrency analyzer holds every use to the
-// atomic methods.
-//
-//twl:guardedby atomic
+// goroutines reading it.
 var source atomic.Pointer[func() time.Time]
 
 func init() {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -22,9 +23,11 @@ import (
 //     `//twl:guardedby <mutex>` may only be touched in a critical section
 //     of the named sibling mutex — the enclosing function must Lock (or
 //     RLock) that mutex before the access, or carry a `//twl:locked
-//     <mutex>` annotation stating its caller already holds it. The variant
-//     `//twl:guardedby atomic` requires every use to go through the
-//     value's atomic methods (Load/Store/Swap/CompareAndSwap/Add).
+//     <mutex>` annotation stating its caller already holds it. A name that
+//     is not a sibling sync.Mutex or sync.RWMutex (a typo, a renamed
+//     mutex) is itself a finding: it would guard nothing. Typed atomics
+//     need no annotation: they have no plain access to confine, and the
+//     locks rule and go vet's copylocks police the rest.
 //
 // Scope: every package of the module (the worker pools live in the twl
 // facade and the cmd tools, not just internal/), skipping test-support
@@ -37,8 +40,7 @@ var concurrencyAnalyzer = &Analyzer{
 func init() { concurrencyAnalyzer.Run = runConcurrency }
 
 func runConcurrency(p *Package, _ *World) []Diagnostic {
-	guards := collectGuards(p)
-	var diags []Diagnostic
+	guards, diags := collectGuards(p)
 	for _, f := range p.Files {
 		if testSupport(f) {
 			continue
@@ -57,15 +59,12 @@ func runConcurrency(p *Package, _ *World) []Diagnostic {
 // guardInfo describes one //twl:guardedby annotation.
 type guardInfo struct {
 	guarded types.Object // the annotated field or package var
-	guard   types.Object // the named mutex object; nil when atomic
-	name    string       // the guard name as written ("mu", "atomic")
-	atomic  bool
+	guard   types.Object // the named mutex
+	name    string       // the guard name as written ("mu")
 }
 
 // guardSet indexes the package's guardedby annotations by guarded object.
-type guardSet struct {
-	byObj map[types.Object]*guardInfo
-}
+type guardSet map[types.Object]*guardInfo
 
 // guardComment extracts the name following the //twl:guardedby directive
 // from a field or value-spec comment group ("" when absent). Like Go's own
@@ -89,16 +88,18 @@ func guardComment(groups ...*ast.CommentGroup) string {
 	return ""
 }
 
-// lockedComment extracts the names following the //twl:locked directive from
-// a function's doc comment — the declaration that the caller already holds
-// those locks. Directive position only, same as guardComment.
-func lockedComment(doc *ast.CommentGroup) map[string]bool {
-	if doc == nil {
+// lockedNames extracts the names following the //twl:locked directive from
+// the doc comment of fn — the declaration that the caller already holds
+// those locks. Function literals cannot carry one. Directive position only,
+// same as guardComment.
+func lockedNames(fn ast.Node) map[string]bool {
+	fd, ok := fn.(*ast.FuncDecl)
+	if !ok || fd.Doc == nil {
 		return nil
 	}
 	const marker = "//twl:locked"
 	var names map[string]bool
-	for _, c := range doc.List {
+	for _, c := range fd.Doc.List {
 		if strings.HasPrefix(c.Text, marker) {
 			for _, n := range strings.Fields(c.Text[len(marker):]) {
 				if names == nil {
@@ -113,18 +114,23 @@ func lockedComment(doc *ast.CommentGroup) map[string]bool {
 
 // collectGuards finds every //twl:guardedby annotation in the package:
 // struct fields whose guard is a sibling field, and package-level vars
-// whose guard is another package-level var.
-func collectGuards(p *Package) *guardSet {
-	gs := &guardSet{byObj: map[types.Object]*guardInfo{}}
-	addField := func(st *ast.StructType, fld *ast.Field, name string) {
-		guard := resolveSiblingField(p, st, name)
-		for _, id := range fld.Names {
-			obj := p.Info.Defs[id]
-			if obj == nil {
-				continue
-			}
-			gs.byObj[obj] = &guardInfo{guarded: obj, guard: guard, name: name, atomic: name == "atomic"}
+// whose guard is another package-level var. An annotation whose name does
+// not resolve to a mutex is reported and guards nothing.
+func collectGuards(p *Package) (guardSet, []Diagnostic) {
+	gs := guardSet{}
+	var diags []Diagnostic
+	add := func(id *ast.Ident, guard types.Object, name, sibling string) {
+		obj := p.Info.Defs[id]
+		if obj == nil {
+			return
 		}
+		if v, ok := guard.(*types.Var); !ok || !isSync(v.Type(), "Mutex", "RWMutex") {
+			diags = report(diags, p, concurrencyAnalyzer, id.Pos(),
+				"%s is annotated //twl:guardedby %s, but %s is not a sync.Mutex or sync.RWMutex %s; the annotation guards nothing",
+				id.Name, name, name, sibling)
+			return
+		}
+		gs[obj] = &guardInfo{guarded: obj, guard: guard, name: name}
 	}
 	for _, f := range p.Files {
 		if testSupport(f) {
@@ -135,7 +141,10 @@ func collectGuards(p *Package) *guardSet {
 			case *ast.StructType:
 				for _, fld := range n.Fields.List {
 					if name := guardComment(fld.Doc, fld.Comment); name != "" {
-						addField(n, fld, name)
+						guard := resolveSiblingField(p, n, name)
+						for _, id := range fld.Names {
+							add(id, guard, name, "sibling field")
+						}
 					}
 				}
 			case *ast.GenDecl:
@@ -155,22 +164,16 @@ func collectGuards(p *Package) *guardSet {
 						continue
 					}
 					for _, id := range vs.Names {
-						obj := p.Info.Defs[id]
-						if obj == nil || obj.Parent() != p.Types.Scope() {
-							continue
+						if obj := p.Info.Defs[id]; obj != nil && obj.Parent() == p.Types.Scope() {
+							add(id, p.Types.Scope().Lookup(name), name, "package var")
 						}
-						var guard types.Object
-						if name != "atomic" {
-							guard = p.Types.Scope().Lookup(name)
-						}
-						gs.byObj[obj] = &guardInfo{guarded: obj, guard: guard, name: name, atomic: name == "atomic"}
 					}
 				}
 			}
 			return true
 		})
 	}
-	return gs
+	return gs, diags
 }
 
 // resolveSiblingField finds the field named name in the same struct
@@ -191,7 +194,7 @@ func resolveSiblingField(p *Package, st *ast.StructType, name string) types.Obje
 // that touches guarded state must lock for itself (it may run on another
 // goroutine), and a go statement inside a closure is joined or not relative
 // to that closure.
-func walkFuncBody(diags []Diagnostic, p *Package, guards *guardSet, fn ast.Node, body *ast.BlockStmt) []Diagnostic {
+func walkFuncBody(diags []Diagnostic, p *Package, guards guardSet, fn ast.Node, body *ast.BlockStmt) []Diagnostic {
 	locked := lockedNames(fn)
 	lockPositions := collectLockCalls(p, body)
 
@@ -215,15 +218,6 @@ func walkFuncBody(diags []Diagnostic, p *Package, guards *guardSet, fn ast.Node,
 			}
 			return
 		case *ast.SelectorExpr:
-			if recv := atomicMethodReceiver(p, guards, n); recv != nil {
-				// Sanctioned atomic use (source.Load(), t.seq.Add(1)):
-				// step past the guarded receiver itself, but keep
-				// checking whatever it is selected from.
-				if inner, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok {
-					walk(inner.X)
-				}
-				return
-			}
 			diags = checkGuardedAccess(diags, p, guards, n, locked, lockPositions)
 			walk(n.X)
 			return
@@ -243,15 +237,6 @@ func walkFuncBody(diags []Diagnostic, p *Package, guards *guardSet, fn ast.Node,
 		walk(s)
 	}
 	return diags
-}
-
-// lockedNames returns the //twl:locked names of fn (FuncDecl doc comment;
-// function literals cannot carry one).
-func lockedNames(fn ast.Node) map[string]bool {
-	if fd, ok := fn.(*ast.FuncDecl); ok {
-		return lockedComment(fd.Doc)
-	}
-	return nil
 }
 
 // lockCall resolves a call expression to the mutex object it locks:
@@ -318,53 +303,21 @@ func collectLockCalls(p *Package, body *ast.BlockStmt) []lockEntry {
 }
 
 // checkGuardedAccess applies rule 2 to a field selection.
-func checkGuardedAccess(diags []Diagnostic, p *Package, guards *guardSet, sel *ast.SelectorExpr, locked map[string]bool, locks []lockEntry) []Diagnostic {
+func checkGuardedAccess(diags []Diagnostic, p *Package, guards guardSet, sel *ast.SelectorExpr, locked map[string]bool, locks []lockEntry) []Diagnostic {
 	s := p.Info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return diags
 	}
-	gi := guards.byObj[s.Obj()]
+	gi := guards[s.Obj()]
 	if gi == nil {
 		return diags
 	}
 	return checkGuardUse(diags, p, gi, sel.Pos(), locked, locks)
 }
 
-// atomicMethodReceiver reports (by returning the receiver expression)
-// whether sel is a sanctioned use of an atomic-guarded object: the selection
-// of a sync/atomic method named Load/Store/Swap/CompareAndSwap/Add (or the
-// typed Add variants) whose receiver resolves to a //twl:guardedby atomic
-// object. Everything else — plain reads, address-taking, non-atomic method
-// calls — reaches checkGuardUse and is reported.
-func atomicMethodReceiver(p *Package, guards *guardSet, sel *ast.SelectorExpr) ast.Expr {
-	switch sel.Sel.Name {
-	case "Load", "Store", "Swap", "CompareAndSwap", "Add", "Or", "And":
-	default:
-		return nil
-	}
-	s := p.Info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return nil
-	}
-	m, ok := s.Obj().(*types.Func)
-	if !ok || m.Pkg() == nil || m.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	obj := lvalueObj(p, sel.X)
-	if obj == nil {
-		return nil
-	}
-	if gi := guards.byObj[obj]; gi == nil || !gi.atomic {
-		return nil
-	}
-	return sel.X
-}
-
 // checkGuardedIdent applies rule 2 to a bare identifier use (package-level
-// guarded vars). Sanctioned atomic uses never reach this check — the walker
-// intercepts them in atomicMethodReceiver — so an atomic-guarded identifier
-// seen here is by construction outside its atomic methods.
-func checkGuardedIdent(diags []Diagnostic, p *Package, guards *guardSet, id *ast.Ident, locked map[string]bool, locks []lockEntry) []Diagnostic {
+// guarded vars).
+func checkGuardedIdent(diags []Diagnostic, p *Package, guards guardSet, id *ast.Ident, locked map[string]bool, locks []lockEntry) []Diagnostic {
 	obj := p.Info.Uses[id]
 	if obj == nil {
 		return diags
@@ -376,29 +329,22 @@ func checkGuardedIdent(diags []Diagnostic, p *Package, guards *guardSet, id *ast
 		// value is not an access to live shared state.
 		return diags
 	}
-	gi := guards.byObj[obj]
+	gi := guards[obj]
 	if gi == nil {
 		return diags
 	}
 	return checkGuardUse(diags, p, gi, id.Pos(), locked, locks)
 }
 
-// checkGuardUse validates one use of a guarded object at pos. Mutex-guarded
-// objects need a preceding Lock/RLock of the guard in the same function (or
-// a //twl:locked declaration). Atomic-guarded objects are structural: every
-// sanctioned use is intercepted by atomicMethodReceiver before the walker
-// descends here, so reaching this function at all is the violation.
+// checkGuardUse validates one use of a guarded object at pos: it needs a
+// preceding Lock/RLock of the guard in the same function (or a //twl:locked
+// declaration).
 func checkGuardUse(diags []Diagnostic, p *Package, gi *guardInfo, pos token.Pos, locked map[string]bool, locks []lockEntry) []Diagnostic {
-	if gi.atomic {
-		return report(diags, p, concurrencyAnalyzer, pos,
-			"%s is annotated //twl:guardedby atomic but used outside its atomic methods (Load/Store/Swap/CompareAndSwap/Add); plain access tears",
-			gi.guarded.Name())
-	}
 	if locked[gi.name] {
 		return diags
 	}
 	for _, l := range locks {
-		if l.pos < pos && (gi.guard == nil || l.obj == gi.guard) {
+		if l.pos < pos && l.obj == gi.guard {
 			return diags
 		}
 	}
@@ -432,7 +378,10 @@ func joinedGoroutine(p *Package, g *ast.GoStmt, lit *ast.FuncLit, isLit bool, fn
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
 				return true
 			}
-			if isWaitGroup(t) {
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if isSync(t, "WaitGroup") {
 				return true
 			}
 		}
@@ -480,16 +429,13 @@ func joinedGoroutine(p *Package, g *ast.GoStmt, lit *ast.FuncLit, isLit bool, fn
 	return joined
 }
 
-// isWaitGroup matches sync.WaitGroup, possibly behind a pointer.
-func isWaitGroup(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
+// isSync reports whether t is one of the named types of package sync.
+func isSync(t types.Type, names ...string) bool {
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
-	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
+	return slices.Contains(names, named.Obj().Name())
 }
 
 // declaredOutside reports whether obj is declared outside the enclosing

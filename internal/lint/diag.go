@@ -13,10 +13,10 @@ import (
 // Diagnostic is one finding: which analyzer fired, in which package, where,
 // and why.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	Package  string `json:"package"`
-	Pos      string `json:"pos"` // file:line:col
-	Message  string `json:"message"`
+	Analyzer string
+	Package  string
+	Pos      string // file:line:col
+	Message  string
 }
 
 // String renders the go-vet-style "pos: [analyzer] message" line.
@@ -89,10 +89,9 @@ func (k posKey) less(o posKey) bool {
 }
 
 // sortDiags orders findings by (package, position, analyzer, message) — the
-// stable order the CLI, the JSON mode and the golden fixtures all rely on.
-// Findings arrive package by package and analyzer by analyzer, the budget
-// phase's last; this sort is what makes `twlint -json` output
-// position-ordered.
+// stable order the CLI and the golden fixtures rely on. Findings arrive
+// package by package and analyzer by analyzer; this sort is what makes
+// twlint's output position-ordered.
 func sortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].Package != ds[j].Package {

@@ -30,13 +30,12 @@
 //     Read — otherwise the embedded scheme's promoted methods serve those
 //     paths without the decorator's interception.
 //   - concurrency: goroutines must have a reachable join (WaitGroup,
-//     done-channel), and fields annotated //twl:guardedby must only be
-//     touched inside the named lock's critical section (or via the declared
-//     atomic methods).
-//   - hotpath: functions annotated //twl:hotpath have their escape-analysis
-//     output (go build -gcflags=-m) diffed against the committed
-//     twlint.budget file — a new heap allocation in a hot path is a lint
-//     failure, not a silent performance regression.
+//     done-channel), and fields annotated //twl:guardedby must name a
+//     sibling mutex and only be touched inside its critical section.
+//   - hotpath: functions annotated //twl:hotpath must not heap-allocate,
+//     as the compiler's escape analysis (go build -gcflags=-m) reports —
+//     an allocation in a hot path is a lint failure, not a silent
+//     performance regression.
 //
 // Built entirely on the stdlib go/ast, go/parser, go/token and go/types
 // packages (module policy: no external dependencies).
@@ -56,10 +55,7 @@ type Analyzer struct {
 	Run  func(p *Package, w *World) []Diagnostic
 }
 
-// Analyzers is the full AST/type-based suite in the order DESIGN.md
-// documents them. The hotpath allocation-budget check is not listed here:
-// it is driven by the compiler's escape analysis, not the type-checked AST,
-// and runs as a separate phase (see CheckBudget).
+// Analyzers is the full suite in the order DESIGN.md documents them.
 var Analyzers = []*Analyzer{
 	determinismAnalyzer,
 	costAnalyzer,
@@ -67,15 +63,20 @@ var Analyzers = []*Analyzer{
 	snapshotAnalyzer,
 	decoratorAnalyzer,
 	concurrencyAnalyzer,
+	hotpathAnalyzer,
 }
 
 // World is the cross-package context shared by all analyzers over one run:
-// the wl contract types, resolved once.
+// the wl contract types and the compiler's heap-allocation messages,
+// resolved once.
 type World struct {
 	// wl is the wl package as seen by importers. Packages other than wl
 	// itself resolve wl types through the shared importer, so identity
 	// comparisons against these hold.
 	wl *types.Package
+	// heap is the escape analysis of the packages that declare
+	// //twl:hotpath functions: every allocation it placed on the heap.
+	heap []escapeDiag
 }
 
 // wlContract resolves the wl package's contract types from the viewpoint of
@@ -91,38 +92,33 @@ func (w *World) wlContract(p *Package) *types.Package {
 
 const wlPath = "twl/internal/wl"
 
-// NewWorld resolves the cross-package context: the imported view of the wl
-// contract package. Fixture runs that never touch wl-dependent analyzers
-// still resolve it — the module always contains it.
-func NewWorld(l *Loader) (*World, error) {
+// NewWorld resolves the cross-package context of an analysis of pkgs: the
+// imported view of the wl contract package, and the escape analysis of the
+// packages among pkgs that declare hot functions. Fixture runs that never
+// touch wl-dependent analyzers still resolve it — the module always
+// contains it.
+func NewWorld(l *Loader, pkgs []*Package) (*World, error) {
 	wlPkg, err := l.imp.Import(wlPath)
 	if err != nil {
 		return nil, fmt.Errorf("importing %s: %v", wlPath, err)
 	}
-	return &World{wl: wlPkg}, nil
+	heap, err := heapEscapes(pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return &World{wl: wlPkg, heap: heap}, nil
 }
 
-// Options configures a Run.
-type Options struct {
-	// BudgetPath names the committed hotpath allocation-budget file; empty
-	// skips the budget phase entirely.
-	BudgetPath string
-	// UpdateBudget rewrites BudgetPath from the observed escape analysis
-	// instead of diffing against it.
-	UpdateBudget bool
-}
-
-// Run loads the packages matching patterns and applies the full suite —
-// every AST analyzer to each package in turn, then the hotpath
-// allocation-budget phase if configured — returning the findings in stable
-// (package, position) order.
-func Run(patterns []string, opts Options) ([]Diagnostic, error) {
+// Run loads the packages matching patterns and applies every analyzer to
+// each package in turn, returning the findings in stable (package,
+// position) order.
+func Run(patterns []string) ([]Diagnostic, error) {
 	l := NewLoader()
 	pkgs, err := l.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
-	w, err := NewWorld(l)
+	w, err := NewWorld(l, pkgs)
 	if err != nil {
 		return nil, err
 	}
@@ -131,13 +127,6 @@ func Run(patterns []string, opts Options) ([]Diagnostic, error) {
 		for _, a := range Analyzers {
 			diags = append(diags, a.Run(p, w)...)
 		}
-	}
-	if opts.BudgetPath != "" {
-		bd, err := CheckBudget(pkgs, opts.BudgetPath, opts.UpdateBudget)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, bd...)
 	}
 	sortDiags(diags)
 	return diags, nil

@@ -23,6 +23,7 @@ var fixtures = []struct {
 	{snapshotAnalyzer, "fixsnap", "twl/internal/fixsnap"},
 	{decoratorAnalyzer, "fixdec", "twl/internal/fixdec"},
 	{concurrencyAnalyzer, "fixconc", "twl/internal/fixconc"},
+	{hotpathAnalyzer, "fixhot", "twl/internal/fixhot"},
 }
 
 // loadFixture type-checks one fixture package and builds the analysis world
@@ -33,7 +34,7 @@ func loadFixture(t *testing.T, l *Loader, dir, path string) (*Package, *World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(l)
+	w, err := NewWorld(l, []*Package{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,39 +85,10 @@ func TestAnalyzersMatchGolden(t *testing.T) {
 	}
 }
 
-// TestBudgetFixture proves the allocation-budget phase fires: fixhot's
-// committed budget predates the HotAlloc allocation and carries a stale
-// entry, so the diff must report both — and a freshly regenerated budget
-// must diff clean.
-func TestBudgetFixture(t *testing.T) {
-	l := NewLoader()
-	p, _ := loadFixture(t, l, "fixhot", "twl/internal/fixhot")
-	pkgs := []*Package{p}
-
-	diags, err := CheckBudget(pkgs, filepath.Join("testdata", "fixhot.budget"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, filepath.Join("testdata", "fixhot.golden"), render(diags))
-
-	// -update-budget then re-check: the regenerated file must diff clean.
-	tmp := filepath.Join(t.TempDir(), "budget")
-	if _, err := CheckBudget(pkgs, tmp, true); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := CheckBudget(pkgs, tmp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clean) != 0 {
-		t.Errorf("regenerated budget still diffs: %v", clean)
-	}
-}
-
-// TestSortDiagsNumeric pins the (package, position) output order `twlint
-// -json` relies on: positions compare by numeric line/column, not string
-// order, and package groups stay contiguous whatever order the analyzers
-// reported in.
+// TestSortDiagsNumeric pins the (package, position) order twlint prints
+// findings in: positions compare by numeric line/column, not string order,
+// and package groups stay contiguous whatever order the analyzers reported
+// in.
 func TestSortDiagsNumeric(t *testing.T) {
 	ds := []Diagnostic{
 		{Analyzer: "a", Package: "pkg/b", Pos: "x.go:9:2", Message: "m"},
@@ -144,16 +116,32 @@ func TestSortDiagsNumeric(t *testing.T) {
 	}
 }
 
+// TestPrintedAsReplayedPaths: the go command replays a cached compile's
+// output with paths relative to the directory of the build that ran it, so
+// the hotpath rule must recognize a hot function's file in every form a
+// build from another directory prints, without taking a same-named file
+// elsewhere for it.
+func TestPrintedAsReplayedPaths(t *testing.T) {
+	abs := filepath.FromSlash("/m/internal/pcm/pcm.go")
+	for _, printed := range []string{"internal/pcm/pcm.go", "../pcm/pcm.go", "../../internal/pcm/pcm.go", "pcm.go", "./pcm.go", "/m/internal/pcm/pcm.go"} {
+		if !printedAs(filepath.FromSlash(printed), abs) {
+			t.Errorf("printedAs(%q, %q) = false, want true", printed, abs)
+		}
+	}
+	for _, printed := range []string{"../wl/pcm.go", "internal/pcm/x.go", "ternal/pcm/pcm.go", "/n/internal/pcm/pcm.go"} {
+		if printedAs(filepath.FromSlash(printed), abs) {
+			t.Errorf("printedAs(%q, %q) = true, want false", printed, abs)
+		}
+	}
+}
+
 // TestCleanTree is the self-test the Makefile's lint target relies on: the
-// repository's own packages produce zero findings under the checked-in
-// allocation budget.
+// repository's own packages produce zero findings, hot paths included.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads, type-checks and escape-analyzes the whole module")
 	}
-	diags, err := Run([]string{"twl/..."}, Options{
-		BudgetPath: filepath.Join("..", "..", "twlint.budget"),
-	})
+	diags, err := Run([]string{"twl/..."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package fixconc is the concurrency analyzer's fixture: unjoined
-// goroutines and accesses to //twl:guardedby state outside its critical
-// section, next to the correct forms of each, which must stay finding-free.
+// goroutines, accesses to //twl:guardedby state outside its critical
+// section and a guard name that names no mutex, next to the correct forms
+// of each, which must stay finding-free.
 package fixconc
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 func sink(int) {}
@@ -46,17 +46,17 @@ func goodTable(k string) {
 	table[k]++
 }
 
-// hits is confined to its atomic methods.
-//
-//twl:guardedby atomic
-var hits atomic.Int64
+// typo's guard name matches no mutex (finding at the annotation): left
+// unresolved, it would accept any Lock before the read as its own.
+type typo struct {
+	mu    sync.Mutex
+	other sync.Mutex
+	n     int //twl:guardedby mux
+}
 
-// goodHit goes through an atomic method (no finding).
-func goodHit() { hits.Add(1) }
-
-// badHit takes the address of the atomic-guarded var, escaping the
-// discipline (finding).
-func badHit() *atomic.Int64 { return &hits }
+// readTypo holds a lock, but not one the annotation could name; the
+// annotation's finding stands for this read.
+func (s *typo) readTypo() int { s.other.Lock(); defer s.other.Unlock(); return s.n }
 
 // leak spawns a goroutine with no join at all (finding).
 func leak() {

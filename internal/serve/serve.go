@@ -90,7 +90,7 @@ type Server struct {
 	lastID   int                 //twl:guardedby mu
 	closed   bool                //twl:guardedby mu
 
-	draining atomic.Bool //twl:guardedby atomic
+	draining atomic.Bool
 	wg       sync.WaitGroup
 
 	jobsTotal    *obs.Counter
